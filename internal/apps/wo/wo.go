@@ -95,9 +95,12 @@ func (m *mapper) Map(ctx *core.MapContext[uint32], c core.Chunk) {
 			BytesWritten: float64(m.dictSize * 8),
 		}
 		ctx.Launch(init, func() {
-			for k := 0; k < m.dictSize; k++ {
-				res.Append(uint32(k), 0)
+			// The resident set is empty here, so fill it in one go.
+			res.Keys = make([]uint32, m.dictSize)
+			for k := range res.Keys {
+				res.Keys[k] = uint32(k)
 			}
+			res.Vals = make([]uint32, m.dictSize)
 			res.Virt = int64(m.dictSize)
 		})
 	}
@@ -149,22 +152,20 @@ func (r reducer) Reduce(ctx *core.ReduceContext[uint32], keys []uint32, segs []c
 	ctx.SetEmittedVirt(int64(len(segs)))
 }
 
-// Built bundles a WO job with the lookup structures tests need.
+// Built bundles a WO job with the lookup structures tests need. Dict and
+// Table come from Dictionary and are shared with every other job of the
+// same (seed, size): read them, never modify them.
 type Built struct {
 	Job   *core.Job[uint32]
-	Dict  []string
-	Table *mph.Table
-	Lines []string // physical corpus
+	Dict  []string   // read-only, shared
+	Table *mph.Table // read-only, shared
+	Lines []string   // physical corpus
 }
 
 // NewJob builds the GPMR job for the given parameters.
 func NewJob(p Params) *Built {
 	p = p.withDefaults()
-	dict := workload.Dictionary(p.Seed, p.DictSize)
-	table, err := mph.Build(dict)
-	if err != nil {
-		panic("wo: mph build failed: " + err.Error())
-	}
+	dict, table := Dictionary(p.Seed, p.DictSize)
 	sc := apputil.PlanScale(p.Bytes, p.PhysMax)
 	lines := workload.Text(p.Seed+1, dict, sc.PhysElems)
 	nChunks := apputil.NumChunks(sc.VirtElems, p.ChunkCap, p.GPUs)

@@ -160,13 +160,22 @@ func (e *Engine) spawnAt(at Time, name string, body func(p *Proc)) *Proc {
 	return p
 }
 
-// schedule queues a wake-up for p at time at.
-func (e *Engine) schedule(at Time, p *Proc) {
+// ordinary is set in the sequence number of every wake-up except those
+// SleepFirst schedules, so at equal times first wake-ups sort ahead of all
+// ordinary ones while each class keeps its FIFO order.
+const ordinary = 1 << 63
+
+// schedule queues an ordinary wake-up for p at time at.
+func (e *Engine) schedule(at Time, p *Proc) { e.scheduleClass(at, p, ordinary) }
+
+// scheduleClass queues a wake-up for p at time at in the given tie class
+// (ordinary, or 0 for first).
+func (e *Engine) scheduleClass(at Time, p *Proc, class uint64) {
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	e.queue.pushEvent(event{at: at, seq: e.seq, proc: p})
+	e.queue.pushEvent(event{at: at, seq: e.seq | class, proc: p})
 }
 
 // Park suspends the calling process indefinitely; another process must call
@@ -203,11 +212,21 @@ func (p *Proc) park() {
 
 // Sleep suspends the calling process for d of simulated time. Negative
 // durations are treated as zero.
-func (p *Proc) Sleep(d Time) {
+func (p *Proc) Sleep(d Time) { p.sleep(d, ordinary) }
+
+// SleepFirst is Sleep whose wake-up runs ahead of every ordinary event due
+// at the same instant; first wake-ups due together run in the order they
+// were scheduled. Where a process wakes among its instant's events then
+// depends only on the instant, not on when the sleep began — which is what
+// lets an externally timed arrival take the same place in a live run and
+// in its replay.
+func (p *Proc) SleepFirst(d Time) { p.sleep(d, 0) }
+
+func (p *Proc) sleep(d Time, class uint64) {
 	if d < 0 {
 		d = 0
 	}
-	p.eng.schedule(p.eng.now+d, p)
+	p.eng.scheduleClass(p.eng.now+d, p, class)
 	p.eng.yield <- yieldMsg{proc: p}
 	<-p.resume
 }

@@ -64,6 +64,34 @@ func TestDeterministicInterleaving(t *testing.T) {
 	}
 }
 
+// TestSleepFirstRunsAheadOfItsInstant checks the tie rule SleepFirst adds:
+// a first wake-up runs before every ordinary event due at the same time,
+// however early those were scheduled, and first wake-ups keep their
+// scheduling order among themselves.
+func TestSleepFirstRunsAheadOfItsInstant(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	at := 10 * Microsecond
+	e.Spawn("early", func(p *Proc) {
+		p.Sleep(at) // scheduled first, ordinary
+		order = append(order, p.Name())
+	})
+	for _, name := range []string{"first1", "first2"} {
+		e.Spawn(name, func(p *Proc) {
+			p.Sleep(at / 2)
+			p.SleepFirst(at - p.Now())
+			order = append(order, p.Name())
+			p.Sleep(0) // an ordinary wake-up at the same instant
+			order = append(order, p.Name()+"+0")
+		})
+	}
+	e.Run()
+	want := "[first1 first2 early first1+0 first2+0]"
+	if got := fmt.Sprint(order); got != want {
+		t.Errorf("wake order %s, want %s", got, want)
+	}
+}
+
 func TestSpawnFromProcess(t *testing.T) {
 	e := NewEngine()
 	var childRan bool

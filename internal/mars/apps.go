@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"repro/internal/apps/apputil"
+	"repro/internal/apps/wo"
 	"repro/internal/mph"
 	"repro/internal/workload"
 )
@@ -109,11 +110,7 @@ func WO(bytes int64, physMax, dictSize int, seed uint64) (App[uint32], []string,
 	if dictSize <= 0 {
 		dictSize = workload.DictionarySize
 	}
-	dict := workload.Dictionary(seed, dictSize)
-	table, err := mph.Build(dict)
-	if err != nil {
-		panic("mars: " + err.Error())
-	}
+	dict, table := wo.Dictionary(seed, dictSize)
 	sc := apputil.PlanScale(bytes, physMax)
 	lines := workload.Text(seed+1, dict, sc.PhysElems)
 	// Each map thread pre-aggregates repeats within its line (Mars's WO

@@ -46,34 +46,41 @@ func Build(words []string) (*Table, error) {
 		return nil, errors.New("mph: empty dictionary")
 	}
 	nBuckets := (n + 3) / 4
-	buckets := make([][]string, nBuckets)
-	for _, w := range words {
-		b := int(hash(0, w) % uint64(nBuckets))
-		buckets[b] = append(buckets[b], w)
+	// Bucket the words in one flat slice: bucket b is
+	// flat[start[b]:start[b+1]], its words in dictionary order.
+	home := make([]int32, n)
+	start := make([]int, nBuckets+1)
+	for i, w := range words {
+		b := int32(hash(0, w) % uint64(nBuckets))
+		home[i] = b
+		start[b+1]++
 	}
-	// Largest buckets first: they have the fewest seed choices.
-	order := make([]int, nBuckets)
-	for i := range order {
-		order[i] = i
+	maxSize := 0
+	for b := 0; b < nBuckets; b++ {
+		maxSize = max(maxSize, start[b+1])
+		start[b+1] += start[b]
 	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && len(buckets[order[j]]) > len(buckets[order[j-1]]); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
+	flat := make([]string, n)
+	fill := append([]int(nil), start[:nBuckets]...)
+	for i, w := range words {
+		flat[fill[home[i]]] = w
+		fill[home[i]]++
 	}
+	order := bucketOrder(start, maxSize)
 	taken := make([]bool, n)
 	seeds := make([]int32, nBuckets)
+	marks := make([]int, 0, maxSize)
 	for _, bi := range order {
-		bucket := buckets[bi]
+		bucket := flat[start[bi]:start[bi+1]]
 		if len(bucket) == 0 {
-			continue
+			break // sizes descend: the rest are empty too
 		}
 	seedSearch:
 		for seed := int32(1); ; seed++ {
 			if seed > 1<<22 {
 				return nil, fmt.Errorf("mph: no displacement found for bucket of %d words (duplicate words?)", len(bucket))
 			}
-			marks := make([]int, 0, len(bucket))
+			marks = marks[:0]
 			for _, w := range bucket {
 				slot := int(hash(uint64(seed), w) % uint64(n))
 				if taken[slot] {
@@ -91,6 +98,33 @@ func Build(words []string) (*Table, error) {
 		}
 	}
 	return &Table{seeds: seeds, slots: n}, nil
+}
+
+// bucketOrder returns the bucket indices largest first — the biggest
+// buckets have the fewest free seed choices — with equal sizes in index
+// order. start holds the bucket offsets (bucket b has start[b+1]-start[b]
+// words), so this is one stable counting sort by descending size.
+func bucketOrder(start []int, maxSize int) []int {
+	nBuckets := len(start) - 1
+	// pos[s] is where the first bucket of size s goes: after every
+	// bucket larger than s.
+	pos := make([]int, maxSize+1)
+	for b := 0; b < nBuckets; b++ {
+		pos[start[b+1]-start[b]]++
+	}
+	next := 0
+	for s := maxSize; s >= 0; s-- {
+		cnt := pos[s]
+		pos[s] = next
+		next += cnt
+	}
+	order := make([]int, nBuckets)
+	for b := 0; b < nBuckets; b++ {
+		sz := start[b+1] - start[b]
+		order[pos[sz]] = b
+		pos[sz]++
+	}
+	return order
 }
 
 // Len returns the dictionary size (and the size of the hash's range).

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"repro/internal/apps/apputil"
+	"repro/internal/apps/wo"
 	"repro/internal/des"
 	"repro/internal/mph"
 	"repro/internal/workload"
@@ -58,11 +59,7 @@ func WO(bytes int64, physMax int, dictSize int, seed uint64) (App[uint32], []str
 	if dictSize <= 0 {
 		dictSize = workload.DictionarySize
 	}
-	dict := workload.Dictionary(seed, dictSize)
-	table, err := mph.Build(dict)
-	if err != nil {
-		panic("phoenix: " + err.Error())
-	}
+	dict, table := wo.Dictionary(seed, dictSize)
 	sc := apputil.PlanScale(bytes, physMax)
 	lines := workload.Text(seed+1, dict, sc.PhysElems)
 	tasks := 64

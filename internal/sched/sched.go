@@ -435,13 +435,14 @@ func Run(cc cluster.Config, pol Policy, specs []JobSpec) (*ClusterTrace, error) 
 		s.register(sp)
 	}
 	// Arrivals enter the queue in time order; submission order breaks
-	// ties, so the stream is reproducible.
+	// ties, so the stream is reproducible. Each lands ahead of everything
+	// else due at its instant, as a served arrival does.
 	arrivals := append([]*jobRec(nil), s.recs...)
 	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].arrival < arrivals[j].arrival })
 	eng.Spawn("sched.arrivals", func(p *des.Proc) {
 		for _, rec := range arrivals {
 			if d := rec.arrival - p.Now(); d > 0 {
-				p.Sleep(d)
+				p.SleepFirst(d)
 			}
 			s.arrive(rec)
 		}

@@ -240,8 +240,9 @@ type Config struct {
 
 	// TimeScale maps wall-clock onto virtual time in live mode: an
 	// arrival T wall-seconds after start lands at T·TimeScale virtual
-	// seconds (or at the engine frontier, whichever is later — virtual
-	// time never runs backwards). 0 defaults to 1. Replay ignores it.
+	// seconds (or 1ns past the engine frontier, whichever is later —
+	// virtual time never runs backwards). 0 defaults to 1. Replay
+	// ignores it.
 	TimeScale float64
 	// TraceW, when set, records the live arrival trace (JSONL; see
 	// trace.go). Replay ignores it.
@@ -891,9 +892,11 @@ func (sv *Server) Submit(req Request) (JobInfo, error) {
 	vt := sv.wallVT()
 	ch := make(chan JobInfo, 1)
 	err := sv.inj.Inject("serve.arrival", func(p *des.Proc) {
-		if d := vt - p.Now(); d > 0 {
-			p.Sleep(d)
-		}
+		// Arrive strictly after the frontier, ahead of everything else
+		// due then: some events at the frontier itself have already run
+		// and the trace could not say which, while a first wake-up at a
+		// later instant is placed the same way by Replay.
+		p.SleepFirst(max(vt, p.Now()+1) - p.Now())
 		ch <- sv.ses.arrive(p.Now(), req)
 	})
 	if err != nil {
@@ -1126,7 +1129,11 @@ func replaySession(tr *Trace, opt ReplayOptions) (*session, des.Time, error) {
 	ses.eng.Spawn("serve.replay", func(p *des.Proc) {
 		for _, ev := range events {
 			if d := ev.at() - p.Now(); d > 0 {
-				p.Sleep(d)
+				if ev.Arrive != nil {
+					p.SleepFirst(d) // where Submit placed it
+				} else {
+					p.Sleep(d)
+				}
 			}
 			if a := ev.Arrive; a != nil {
 				info := ses.arrive(p.Now(), Request{Tenant: a.Tenant, Kind: a.Kind,

@@ -241,6 +241,60 @@ func TestCancelHTTPDistinction(t *testing.T) {
 	svp.Drain()
 }
 
+// sloRequests is a small SLO mix: an elastic batch scan that interactive
+// queries preempt, and a standard job that downgrades on a predicted miss.
+func sloRequests() []Request {
+	return []Request{
+		{Tenant: "a", Kind: "sio", Params: Params{"elements": 32 << 20, "gpus": 8, "seed": int64(1), "chunkcap": 1 << 20},
+			Class: "batch", Elastic: true},
+		{Tenant: "b", Kind: "wo", Params: Params{"bytes": 4 << 20, "gpus": 2, "seed": int64(2)},
+			Class: "interactive", Deadline: 20 * des.Millisecond, MinGang: 2},
+		{Tenant: "c", Kind: "kmc", Params: Params{"points": 4 << 20, "gpus": 4, "seed": int64(3)},
+			Class: "standard", Deadline: 60 * des.Millisecond, Downgrade: true},
+		{Tenant: "a", Kind: "wo", Params: Params{"bytes": 4 << 20, "gpus": 2, "seed": int64(4)},
+			Class: "interactive", Deadline: 20 * des.Millisecond, MinGang: 2},
+	}
+}
+
+// TestLiveReplayIdentityBehindFrontier submits while the engine runs
+// ahead of wall time: at a TimeScale this small every arrival after the
+// first maps behind the frontier, where events of the running jobs at the
+// frontier instant have already been dispatched. Replay must still place
+// each arrival exactly where the live run did. Repeated because whether a
+// submission meets such an instant depends on host timing.
+func TestLiveReplayIdentityBehindFrontier(t *testing.T) {
+	for it := 0; it < 40; it++ {
+		var rec bytes.Buffer
+		sv := startTestServer(t, Config{
+			Policy:    sched.Policy{Kind: sched.WeightedFair, Reserve: true, Preempt: true, Elastic: true},
+			TraceW:    &rec,
+			TimeScale: 1e-3,
+		})
+		reqs := sloRequests()
+		for i, r := range reqs {
+			if _, err := sv.Submit(r); err != nil {
+				t.Fatalf("run %d submit %d: %v", it, i, err)
+			}
+		}
+		waitDrained(t, sv, int64(len(reqs)))
+		live, err := sv.Drain()
+		if err != nil {
+			t.Fatalf("Drain: %v", err)
+		}
+		tr, err := ReadTrace(bytes.NewReader(rec.Bytes()))
+		if err != nil {
+			t.Fatalf("ReadTrace: %v", err)
+		}
+		replay, err := Replay(tr, ReplayOptions{Catalog: testCatalog()})
+		if err != nil {
+			t.Fatalf("Replay: %v", err)
+		}
+		if live.String() != replay.String() {
+			t.Fatalf("run %d: live and replay reports differ:\n--- live ---\n%s--- replay ---\n%s", it, live.String(), replay.String())
+		}
+	}
+}
+
 // TestSLOLiveReplayIdentity extends the live/replay identity promise to
 // the SLO surface: a live run whose submissions carry classes,
 // deadlines, downgrade and elastic opt-ins — under a policy with
@@ -254,16 +308,7 @@ func TestSLOLiveReplayIdentity(t *testing.T) {
 		Policy:  sched.Policy{Kind: sched.WeightedFair, Reserve: true, Preempt: true, Elastic: true},
 		TraceW:  &rec,
 	})
-	reqs := []Request{
-		{Tenant: "a", Kind: "sio", Params: Params{"elements": 32 << 20, "gpus": 8, "seed": int64(1), "chunkcap": 1 << 20},
-			Class: "batch", Elastic: true},
-		{Tenant: "b", Kind: "wo", Params: Params{"bytes": 4 << 20, "gpus": 2, "seed": int64(2)},
-			Class: "interactive", Deadline: 20 * des.Millisecond, MinGang: 2},
-		{Tenant: "c", Kind: "kmc", Params: Params{"points": 4 << 20, "gpus": 4, "seed": int64(3)},
-			Class: "standard", Deadline: 60 * des.Millisecond, Downgrade: true},
-		{Tenant: "a", Kind: "wo", Params: Params{"bytes": 4 << 20, "gpus": 2, "seed": int64(4)},
-			Class: "interactive", Deadline: 20 * des.Millisecond, MinGang: 2},
-	}
+	reqs := sloRequests()
 	var accepted int64
 	for i, r := range reqs {
 		info, err := sv.Submit(r)
