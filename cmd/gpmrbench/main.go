@@ -25,11 +25,13 @@
 // backends — the pool only cuts the harness's wall-clock by running
 // map/sort/reduce work from different simulated GPUs concurrently.
 //
-// -shards selects the DES engine sharding: 0 (default) runs the legacy
-// single event loop, N >= 1 runs the simulation as N coordinated engine
-// shards under conservative lookahead, and -1 uses one shard per simulated
-// node plus a scheduler hub. All shard counts >= 1 produce byte-identical
+// -shards selects the DES engine sharding of scheduled (multi-tenant)
+// experiments: 0 (default) keeps the legacy scheduling model on one
+// engine, N >= 1 runs sharded dispatch over N coordinated engine shards
+// under conservative lookahead, and -1 uses one shard per simulated node
+// plus a scheduler hub. All shard counts >= 1 produce byte-identical
 // traces; `-exp engine` sweeps the knob and writes BENCH_engine.json.
+// Exclusive runs (fig2, fig3, the tables) always use one engine.
 //
 // -trace records every run on the virtual-time flight recorder and writes
 // the recording as Chrome trace-event JSON — open it in Perfetto
@@ -64,7 +66,7 @@ func main() {
 	phys := flag.Int("phys", 1<<16, "physical element budget per run")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	workers := flag.Int("workers", 0, "kernel-execution workers: 0 = serial, N = pool(N), -1 = pool(all cores)")
-	shards := flag.Int("shards", 0, "DES engine shards: 0 = legacy single engine, N = N shards, -1 = one per node")
+	shards := flag.Int("shards", 0, "DES engine shards for scheduled runs: 0 = legacy scheduling model, N = N shards, -1 = one per node")
 	tracePath := flag.String("trace", "", "write the runs' flight recording as Chrome trace-event JSON (load in Perfetto)")
 	explain := flag.String("explain", "", "print phase breakdowns after the runs: a job name, or \"all\" (implies recording)")
 	cpuProf := flag.String("cpuprofile", "", "write a host CPU profile to this file")

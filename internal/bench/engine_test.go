@@ -5,56 +5,99 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/apps/kmc"
+	"repro/internal/apps/lr"
+	"repro/internal/apps/mm"
 	"repro/internal/apps/sio"
+	"repro/internal/apps/wo"
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/sched"
 	"repro/internal/serve"
 )
 
-// shardPoints are the engine configurations the differential matrix pits
-// against each other: 0 (the legacy single event loop — the reference
-// semantics), 1 (a one-shard ShardSet — isolates the coordinator round
-// protocol with no cross-shard traffic), 2 (real cross-shard posts), and
-// -1 (one shard per node plus the hub, the widest decomposition).
-func shardPoints() []int { return []int{0, 1, 2, -1} }
+// shardPoints are the engine configurations the sharded differential
+// tests pit against each other: 1 (a one-shard set — the gang shares the
+// hub engine), 2 (the gang on a non-hub shard, launches and completions
+// crossing shards as posts), and -1 (one shard per node plus the hub, the
+// widest decomposition).
+func shardPoints() []int { return []int{1, 2, -1} }
 
 func shardPointName(shards int) string {
-	switch {
-	case shards == 0:
-		return "legacy"
-	case shards < 0:
+	if shards < 0 {
 		return "per-node"
-	default:
-		return fmt.Sprintf("shards(%d)", shards)
 	}
+	return fmt.Sprintf("shards(%d)", shards)
+}
+
+// scheduled wraps a job for the scheduler (a generic call, so callers need
+// not name the value type).
+func scheduled[V any](j *core.Job[V]) *core.Scheduled[V] { return &core.Scheduled[V]{Job: j} }
+
+// shardApps builds each app's job for the sharded matrix. MM contributes
+// its first pass, the one that does the multiply.
+var shardApps = []struct {
+	name string
+	job  func(gpus int) core.Runnable
+}{
+	{"wo", func(gpus int) core.Runnable {
+		return scheduled(wo.NewJob(wo.Params{Bytes: 4 << 20, GPUs: gpus, Seed: 1, PhysMax: 1 << 14, DictSize: 1000, ChunkCap: 1 << 18}).Job)
+	}},
+	{"sio", func(gpus int) core.Runnable {
+		job, _ := sio.NewJob(sio.Params{Elements: 4 << 20, GPUs: gpus, Seed: 1, PhysMax: 1 << 14, ChunkCap: 1 << 19})
+		return scheduled(job)
+	}},
+	{"kmc", func(gpus int) core.Runnable {
+		return scheduled(kmc.NewJob(kmc.Params{Points: 4 << 20, GPUs: gpus, Seed: 1, PhysMax: 1 << 12}).Job)
+	}},
+	{"lr", func(gpus int) core.Runnable {
+		return scheduled(lr.NewJob(lr.Params{Points: 4 << 20, GPUs: gpus, Seed: 1, PhysMax: 1 << 12}).Job)
+	}},
+	{"mm", func(gpus int) core.Runnable {
+		b, err := mm.New(mm.Params{Dim: 1024, GPUs: gpus, Seed: 1})
+		if err != nil {
+			panic(err)
+		}
+		return scheduled(b.Job1)
+	}},
+}
+
+// runScheduled runs job alone on a cluster of its own size through the
+// scheduler at the given shard count and returns its observables: the
+// cluster trace, the job's own pipeline trace, and its output digest.
+// Above one shard the gang is homed off the hub, so its launch and
+// completion cross shards as posts.
+func runScheduled(t *testing.T, job core.Runnable, shards int) string {
+	t.Helper()
+	cc := cluster.DefaultConfig(job.GangWant())
+	cc.Shards = shards
+	ct, err := sched.Run(cc, sched.Policy{Kind: sched.FIFOExclusive}, []sched.JobSpec{{Job: job}})
+	if err != nil {
+		t.Fatalf("%s %s: %v", job.RunName(), shardPointName(shards), err)
+	}
+	digest, ok := job.(core.OutputDigester).OutputDigest()
+	if !ok {
+		t.Fatalf("%s %s: job never completed", job.RunName(), shardPointName(shards))
+	}
+	return fmt.Sprintf("%s%s\noutput digest %016x\n", ct, ct.Jobs[0].Trace, digest)
 }
 
 // TestShardDifferentialMatrix is the engine-layer counterpart of
-// TestBackendDifferentialMatrix: every app at 1, 4, and 8 GPUs must
-// produce byte-identical results and identical golden traces whether the
-// simulation runs on the legacy single engine or as a sharded set.
-// Exclusive jobs always collapse to one shard, so this pins the ShardSet
-// round protocol (coordinator loop, injection drain, future checks)
-// against the plain Engine.Run loop.
+// TestBackendDifferentialMatrix: every app at 1, 4, and 8 GPUs, run as a
+// scheduled single job, must produce identical cluster and golden traces
+// and an identical output digest whether its gang shares the hub engine
+// or runs on a shard of its own. Exclusive runs (Job.Run) always use one
+// engine, so the scheduler is where the shard count reaches an app.
 func TestShardDifferentialMatrix(t *testing.T) {
-	for _, app := range diffApps {
+	for _, app := range shardApps {
 		t.Run(app.name, func(t *testing.T) {
 			for _, gpus := range []int{1, 4, 8} {
-				var want backendRun
-				for _, shards := range shardPoints() {
-					got := app.run(t, gpus, 0, shards)
-					if len(got.result) == 0 {
-						t.Fatalf("%d GPUs, %s: empty result", gpus, shardPointName(shards))
-					}
-					if shards == 0 {
-						want = got
-						continue
-					}
-					if !bytes.Equal(got.result, want.result) {
-						t.Errorf("%d GPUs: %s result bytes diverge from legacy engine", gpus, shardPointName(shards))
-					}
-					if got.trace != want.trace {
-						t.Errorf("%d GPUs: %s golden trace diverges from legacy engine:\n--- legacy\n%s\n--- %s\n%s",
-							gpus, shardPointName(shards), want.trace, shardPointName(shards), got.trace)
+				want := runScheduled(t, app.job(gpus), 1)
+				for _, shards := range shardPoints()[1:] {
+					if got := runScheduled(t, app.job(gpus), shards); got != want {
+						t.Errorf("%d GPUs: %s diverges from the one-shard set:\n--- shards(1)\n%s\n--- %s\n%s",
+							gpus, shardPointName(shards), want, shardPointName(shards), got)
 					}
 				}
 			}
@@ -63,31 +106,26 @@ func TestShardDifferentialMatrix(t *testing.T) {
 }
 
 // TestShardDifferentialFaults reruns the fault-injection scenario (a
-// fail-stop mid-map plus a derated straggler with speculation) across
-// shard counts: recovery requeues, relays, and twin races must be
-// schedule-identical under the sharded coordinator.
+// fail-stop mid-map plus a derated straggler with speculation) as a
+// scheduled single job across shard counts: recovery requeues, relays,
+// and twin races must be schedule-identical with the gang on the hub and
+// on a non-hub shard.
 func TestShardDifferentialFaults(t *testing.T) {
-	run := func(shards int) backendRun {
+	job := func() core.Runnable {
 		job, _ := sio.NewJob(sio.Params{Elements: 8 << 20, GPUs: 8, Seed: 2, PhysMax: 1 << 13, ChunkCap: 1 << 20})
 		job.Config.GatherOutput = true
-		job.Config.Shards = shards
 		job.Config.Speculate = true
 		job.Config.Faults = &fault.Plan{Events: []fault.Event{
 			fault.FailAfterChunks(2, 2),
 			fault.SlowdownAfterChunks(5, 1, 8),
 		}}
-		res := job.MustRun()
-		return backendRun{result: canonBytes(t, res.PerRank), trace: res.Trace.String()}
+		return scheduled(job)
 	}
-	want := run(0)
+	want := runScheduled(t, job(), 1)
 	for _, shards := range shardPoints()[1:] {
-		got := run(shards)
-		if !bytes.Equal(got.result, want.result) {
-			t.Errorf("%s fault-run result bytes diverge from legacy engine", shardPointName(shards))
-		}
-		if got.trace != want.trace {
-			t.Errorf("%s fault-run golden trace diverges from legacy engine:\n--- legacy\n%s\n--- got\n%s",
-				shardPointName(shards), want.trace, got.trace)
+		if got := runScheduled(t, job(), shards); got != want {
+			t.Errorf("%s fault run diverges from the one-shard set:\n--- shards(1)\n%s\n--- got\n%s",
+				shardPointName(shards), want, got)
 		}
 	}
 }
@@ -117,7 +155,7 @@ func TestShardDifferentialMultijob(t *testing.T) {
 	}
 	want := run(0, 1)
 	for _, workers := range []int{0, -1} {
-		for _, shards := range shardPoints()[1:] {
+		for _, shards := range shardPoints() {
 			if workers == 0 && shards == 1 {
 				continue
 			}

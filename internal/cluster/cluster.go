@@ -73,12 +73,14 @@ type Config struct {
 	// cluster after the engine finishes.
 	Workers int
 
-	// Shards selects how many DES engine shards drive the simulation:
-	// 0 keeps the legacy single-engine path, n >= 1 runs a ShardSet of n
-	// engines (engine 0 is the scheduler hub; job gangs are homed on
-	// engines 1..n-1 when n >= 2), and negative means one engine per
-	// cluster node plus the hub. All shard counts >= 1 produce
+	// Shards selects how a scheduled simulation is dispatched: 0 keeps
+	// the legacy scheduling model (same-engine launches, rank-granular
+	// placement) on one engine, n >= 1 runs sharded dispatch over a
+	// ShardSet of n engines (engine 0 is the scheduler hub; job gangs are
+	// homed on engines 1..n-1 when n >= 2), and negative means one engine
+	// per cluster node plus the hub. All shard counts >= 1 produce
 	// byte-identical traces and results; only host wall-clock changes.
+	// Exclusive runs (core.Job.Run) always use one engine and ignore it.
 	Shards int
 
 	// LaunchOverhead is the simulated delay between the scheduler
@@ -100,8 +102,9 @@ type Config struct {
 const DefaultLaunchOverhead = 2 * des.Millisecond
 
 // ShardCount decodes the Shards knob against the cluster shape: the number
-// of engines a ShardSet should hold, or 0 for the legacy single-engine
-// path. Negative Shards means one engine per node plus the hub.
+// of engines a ShardSet should hold, or 0 for the legacy scheduling model
+// (which runs on one engine). Negative Shards means one engine per node
+// plus the hub.
 func (c Config) ShardCount() int {
 	if c.Shards == 0 {
 		return 0

@@ -1,6 +1,12 @@
 // Package des implements a deterministic discrete-event simulation engine
 // that can run single-threaded or as N coordinated shards.
 //
+// There is one run path. NewEngine returns the sole engine of a
+// one-engine ShardSet, and Engine.Run and Engine.NewInjector are the set's
+// Run and NewInjector; ShardSet.Run is the only dispatch loop. Each engine
+// keeps its wake-ups and its buffered cross-shard posts in one typed
+// min-heap, so dispatching an event allocates nothing.
+//
 // The engine advances a virtual clock and runs simulated processes
 // cooperatively: exactly one process of an engine executes at a time, and
 // all ties in wake-up time are broken by scheduling sequence number, so a
@@ -16,7 +22,7 @@
 //
 // Everything in this package is governed by three ownership rules.
 //
-// Engine-confined state. An Engine's clock, event heap, post buffer,
+// Engine-confined state. An Engine's clock, event heap, post heap,
 // process table, and open-future set are touched only by the goroutine
 // currently driving that engine: the owning goroutine before Run, then
 // exactly one of {the dispatch loop, the single running process} at a
@@ -48,11 +54,12 @@
 //
 // Injector and Future rules. Injectors are the ONLY thread-safe boundary:
 // Inject and Close may be called from any foreign goroutine, and the
-// running engine (or ShardSet coordinator) applies injections between
-// event dispatches (between rounds, at the global frontier, for a
-// ShardSet). Futures are the join handles for host work dispatched outside
-// the simulation: NewFuture and Join must run on a process of the owning
-// engine, Complete/Fail on the worker; every future must be joined before
-// shutdown, and both Engine.Run and ShardSet.Run panic on leaks. See
+// ShardSet coordinator applies injections on the hub engine. A lone engine
+// takes them between events, so a live arrival lands at the current
+// frontier even behind a long backlog; a multi-engine set takes them
+// between rounds, at the global frontier. Futures are the join handles for
+// host work dispatched outside the simulation: NewFuture and Join must run
+// on a process of the owning engine, Complete/Fail on the worker; every
+// future must be joined before shutdown, and Run panics on leaks. See
 // DESIGN.md, "Sharded engine".
 package des

@@ -1,7 +1,6 @@
 package des
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -15,27 +14,21 @@ type event struct {
 	proc *Proc
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by (at, seq) for the engine's event heap.
+func (a event) before(b event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h *eventHeap) popEvent() event   { return heap.Pop(h).(event) }
-func (h *eventHeap) pushEvent(e event) { heap.Push(h, e) }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use; all interaction happens from simulated processes while the
 // engine is running, or from the owning goroutine before Run.
 //
-// An Engine can run standalone (Run) or as one shard of a ShardSet (see
-// shard.go), where a coordinator advances it window by window under
+// Every Engine belongs to a ShardSet (see shard.go): NewEngine builds the
+// sole engine of a one-engine set, which Run drives event by event, and a
+// multi-engine set advances each of its engines window by window under
 // conservative-lookahead synchronization. Either way, every piece of engine
 // state is engine-confined: it is touched only by the goroutine currently
 // driving this engine (the owner before Run, then exactly one process or
@@ -43,30 +36,21 @@ func (h *eventHeap) pushEvent(e event) { heap.Push(h, e) }
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   eventHeap
+	queue   minHeap[event]
 	yield   chan yieldMsg
 	procs   []*Proc
 	live    int // spawned but not finished
 	blocked int // parked with no pending wake event
-	running bool
-	// Sharded-mode state (see shard.go): cross-shard messages buffered for
-	// delivery, ordered by (at, srcKey, seq) so the merged dispatch order
-	// is identical at every shard count, and the set this engine belongs
-	// to (nil for a standalone engine).
-	posts postHeap
+	// Cross-shard messages buffered for delivery, ordered by (at, srcKey,
+	// seq) so the merged dispatch order is identical at every shard count,
+	// and the set this engine belongs to.
+	posts minHeap[post]
 	set   *ShardSet
 	shard int // index within set
 	// openFutures tracks join obligations for host work dispatched outside
 	// the simulation (see future.go). Mutated only from the engine's
 	// serialized goroutines; Run refuses to shut down while any remain.
 	openFutures map[*Future]struct{}
-	// Open-system state (see inject.go): while openInj > 0, Run parks on
-	// injc instead of exiting when the event queue drains. stopped is
-	// closed when Run returns for good, failing later injections fast.
-	openInj     int
-	injc        chan injMsg
-	stopped     chan struct{}
-	everStopped bool
 	// Flight recorder (nil = disabled). The engine itself only reports
 	// bookkeeping (dispatch counts, injector arrivals); simulation-level
 	// events come from the layers above through the same recorder.
@@ -80,17 +64,16 @@ type yieldMsg struct {
 	pnc  any // panic value propagated from the process, if any
 }
 
-// NewEngine returns an empty simulation at time zero.
-func NewEngine() *Engine {
-	// injc is deliberately unbuffered: a successful send means the engine
-	// goroutine received the message inside Run, so it is guaranteed to be
-	// applied — a buffered channel would let a send race the engine's
-	// final drain and strand an accepted injection forever.
+// NewEngine returns an empty simulation at time zero: the sole engine of
+// a one-engine ShardSet.
+func NewEngine() *Engine { return NewShardSet(1).Engine(0) }
+
+func newEngine(set *ShardSet, shard int) *Engine {
 	return &Engine{
 		yield:       make(chan yieldMsg),
+		set:         set,
+		shard:       shard,
 		openFutures: make(map[*Future]struct{}),
-		injc:        make(chan injMsg),
-		stopped:     make(chan struct{}),
 	}
 }
 
@@ -100,8 +83,8 @@ func (e *Engine) Now() Time { return e.now }
 // SetRecorder attaches a flight recorder (nil disables recording). Must
 // be called before Run.
 func (e *Engine) SetRecorder(r *obs.Recorder) {
-	if e.running {
-		panic("des: SetRecorder while the engine is running")
+	if e.set.ran {
+		panic("des: SetRecorder after Run")
 	}
 	e.rec = r
 }
@@ -175,7 +158,7 @@ func (e *Engine) scheduleClass(at Time, p *Proc, class uint64) {
 		at = e.now
 	}
 	e.seq++
-	e.queue.pushEvent(event{at: at, seq: e.seq | class, proc: p})
+	e.queue.push(event{at: at, seq: e.seq | class, proc: p})
 }
 
 // Park suspends the calling process indefinitely; another process must call
@@ -235,51 +218,18 @@ func (p *Proc) sleep(d Time, class uint64) {
 // chance to run before the caller continues.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// Run executes the simulation until every spawned process has finished.
-// It returns the final simulated time. If all remaining processes are
-// blocked with no pending events, Run panics with a deadlock report.
-//
-// While the engine has open injectors (see inject.go), an empty event
-// queue parks the engine instead: Run blocks, holding virtual time still,
+// Run executes the simulation until every spawned process has finished
+// and returns the final simulated time; it is ShardSet.Run on the
+// engine's one-engine set. If all remaining processes are blocked with no
+// pending events, Run panics with a deadlock report. While the engine has
+// open injectors (see inject.go), an empty event queue parks Run instead,
 // until the outside world injects more work or closes the last injector.
-// Deadlock detection is necessarily suspended in open mode — a blocked
-// process may be waiting on work that has not been injected yet.
+// An engine that shares its set with others is driven by ShardSet.Run.
 func (e *Engine) Run() Time {
-	if e.running {
-		panic("des: Run called re-entrantly")
+	if len(e.set.engines) > 1 {
+		panic("des: Engine.Run on one shard of a multi-engine set; run the ShardSet")
 	}
-	e.running = true
-	defer func() {
-		e.running = false
-		if !e.everStopped {
-			e.everStopped = true
-			close(e.stopped)
-		}
-	}()
-	for {
-		// Injections are applied between event dispatches, so an injected
-		// process lands at the frontier without interleaving with a
-		// running one.
-		e.drainInjections()
-		if _, ok := e.nextTime(); !ok {
-			if e.openInj > 0 {
-				e.applyInjection(<-e.injc) // park: wait for the outside world
-				continue
-			}
-			if e.live > 0 {
-				panic(fmt.Sprintf("des: deadlock at t=%v: %d process(es) blocked: %v",
-					e.now, e.blocked, e.blockedNames()))
-			}
-			break
-		}
-		e.step()
-	}
-	e.checkFutures()
-	if e.rec.Enabled() {
-		e.rec.Emit(int64(e.now), obs.CatEngine, "engine", "engine.stats",
-			obs.Int("dispatched", int64(e.dispatched)))
-	}
-	return e.now
+	return e.set.Run()
 }
 
 // checkFutures panics if host work dispatched through this engine was never
@@ -299,8 +249,8 @@ func (e *Engine) checkFutures() {
 // pruneQueue discards queued wake-ups for processes that already finished,
 // so peeking at the head sees real work.
 func (e *Engine) pruneQueue() {
-	for e.queue.Len() > 0 && e.queue[0].proc.ended {
-		e.queue.popEvent()
+	for len(e.queue) > 0 && e.queue[0].proc.ended {
+		e.queue.pop()
 	}
 }
 
@@ -312,7 +262,7 @@ func (e *Engine) nextTime() (Time, bool) {
 	e.pruneQueue()
 	var t Time
 	ok := false
-	if e.queue.Len() > 0 {
+	if len(e.queue) > 0 {
 		t, ok = e.queue[0].at, true
 	}
 	if len(e.posts) > 0 && (!ok || e.posts[0].at < t) {
@@ -330,7 +280,7 @@ func (e *Engine) nextTime() (Time, bool) {
 // another shard.
 func (e *Engine) step() {
 	e.pruneQueue()
-	if len(e.posts) > 0 && (e.queue.Len() == 0 || e.posts[0].at <= e.queue[0].at) {
+	if len(e.posts) > 0 && (len(e.queue) == 0 || e.posts[0].at <= e.queue[0].at) {
 		po := e.posts.pop()
 		if po.at < e.now {
 			panic(fmt.Sprintf("des: post %q for t=%v applied behind the frontier t=%v (lookahead violation)",
@@ -339,7 +289,7 @@ func (e *Engine) step() {
 		e.spawnAt(po.at, po.name, po.body)
 		return
 	}
-	ev := e.queue.popEvent()
+	ev := e.queue.pop()
 	e.now = ev.at
 	e.dispatched++
 	ev.proc.resume <- struct{}{}

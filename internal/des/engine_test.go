@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/obs"
 )
 
 func TestSleepAdvancesClock(t *testing.T) {
@@ -402,6 +404,61 @@ func TestPropertyTimeMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSleepDispatchDoesNotAllocate pins the typed event heap: dispatching
+// a Sleep wake-up — pop the event, hand control to the process, push its
+// next wake-up — allocates nothing.
+func TestSleepDispatchDoesNotAllocate(t *testing.T) {
+	const runs = 100
+	e := NewEngine()
+	e.Spawn("looper", func(p *Proc) {
+		for i := 0; i <= runs; i++ { // AllocsPerRun adds one warm-up call
+			p.Sleep(Nanosecond)
+		}
+	})
+	if a := testing.AllocsPerRun(runs, e.step); a != 0 {
+		t.Errorf("a Sleep dispatch allocates %v times, want 0", a)
+	}
+	e.Run()
+}
+
+// TestStandaloneEngineRecords: a standalone engine with a recorder reports
+// its injector arrivals and its dispatch count, as the layers above and
+// the benchmark's dispatch accounting expect.
+func TestStandaloneEngineRecords(t *testing.T) {
+	rec := obs.New()
+	e := NewEngine()
+	e.SetRecorder(rec)
+	inj := e.NewInjector()
+	e.Spawn("sleeper", func(p *Proc) { p.Sleep(5) })
+	done := make(chan Time, 1)
+	go func() { done <- e.Run() }()
+	if err := inj.Inject("arrival", func(p *Proc) {}); err != nil {
+		t.Fatalf("Inject: %v", err)
+	}
+	if err := inj.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	<-done
+	var injected, stats int
+	for _, ev := range rec.Events() {
+		switch ev.Kind {
+		case "inject":
+			injected++
+			if ev.Cat != obs.CatSim || ev.Attr("name") != "arrival" {
+				t.Errorf("inject event %+v, want CatSim named arrival", ev)
+			}
+		case "engine.stats":
+			stats++
+			if got := ev.Attr("dispatched"); got != "3" {
+				t.Errorf("engine.stats dispatched=%s, want 3", got)
+			}
+		}
+	}
+	if injected != 1 || stats != 1 {
+		t.Fatalf("recorded %d inject and %d engine.stats events, want 1 and 1", injected, stats)
 	}
 }
 

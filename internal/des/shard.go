@@ -26,12 +26,8 @@ type post struct {
 	body   func(p *Proc)
 }
 
-// postHeap is a binary min-heap of posts ordered by (at, srcKey, seq).
-// It is engine-confined once routed: only the owning engine pops it.
-type postHeap []post
-
-func (h postHeap) less(i, j int) bool {
-	a, b := h[i], h[j]
+// before orders posts by (at, srcKey, seq) for the engine's post heap.
+func (a post) before(b post) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -39,44 +35,6 @@ func (h postHeap) less(i, j int) bool {
 		return a.srcKey < b.srcKey
 	}
 	return a.seq < b.seq
-}
-
-func (h *postHeap) push(p post) {
-	*h = append(*h, p)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *postHeap) pop() post {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.less(l, small) {
-			small = l
-		}
-		if r < n && h.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
-	}
-	return top
 }
 
 // shardEdge is one declared cross-shard channel with its lookahead bound.
@@ -123,8 +81,15 @@ type ShardSet struct {
 	staged [][]post       // cross-engine posts awaiting the round barrier
 	seqs   map[int]uint64 // next seq per srcKey
 
-	ran bool
-	rec *obs.Recorder
+	// Run and injection state. injc is deliberately unbuffered: a
+	// successful send means the coordinator received the message inside
+	// Run, so it is guaranteed to be applied — a buffered channel would let
+	// a send race the final drain and strand an accepted injection forever.
+	// stopped is closed when Run returns, failing later injections fast.
+	ran     bool
+	openInj int
+	injc    chan injMsg
+	stopped chan struct{}
 }
 
 // NewShardSet creates n engines (n >= 1) wired for coordinated execution.
@@ -137,12 +102,11 @@ func NewShardSet(n int) *ShardSet {
 		inEdges: make([][]shardEdge, n),
 		staged:  make([][]post, n),
 		seqs:    make(map[int]uint64),
+		injc:    make(chan injMsg),
+		stopped: make(chan struct{}),
 	}
 	for i := range ss.engines {
-		e := NewEngine()
-		e.set = ss
-		e.shard = i
-		ss.engines[i] = e
+		ss.engines[i] = newEngine(ss, i)
 	}
 	return ss
 }
@@ -150,16 +114,15 @@ func NewShardSet(n int) *ShardSet {
 // Shards returns the number of engines in the set.
 func (ss *ShardSet) Shards() int { return len(ss.engines) }
 
-// SetRecorder attaches a flight recorder to every shard engine and to the
-// coordinator (which reports per-round synchronization bookkeeping). Must
-// be called before Run.
+// SetRecorder attaches a flight recorder to every shard engine. The
+// coordinator reports its bookkeeping through the hub's recorder. Must be
+// called before Run.
 func (ss *ShardSet) SetRecorder(r *obs.Recorder) {
 	if ss.ran {
 		panic("des: SetRecorder after Run")
 	}
-	ss.rec = r
 	for _, e := range ss.engines {
-		e.SetRecorder(r)
+		e.rec = r
 	}
 }
 
@@ -257,21 +220,6 @@ func (ss *ShardSet) route() {
 	}
 }
 
-// NewInjector opens an injection handle served by the coordinator: the
-// sharded counterpart of Engine.NewInjector, with identical semantics.
-// Injected bodies spawn on the hub engine at the global frontier (the
-// maximum shard frontier), so their effects reach every other shard
-// strictly beyond any clock it has already passed. Must be called before
-// Run.
-func (ss *ShardSet) NewInjector() *Injector {
-	hub := ss.engines[0]
-	if hub.running {
-		panic("des: NewInjector while the shard set is running")
-	}
-	hub.openInj++
-	return &Injector{eng: hub}
-}
-
 // frontier returns the maximum shard clock — the global virtual time the
 // simulation has reached.
 func (ss *ShardSet) frontier() Time {
@@ -284,69 +232,23 @@ func (ss *ShardSet) frontier() Time {
 	return t
 }
 
-// applyInjection lands one injection on the hub at the global frontier.
-// Runs on the coordinator goroutine between rounds.
-func (ss *ShardSet) applyInjection(m injMsg) {
-	hub := ss.engines[0]
-	if m.close {
-		hub.openInj--
-		if hub.openInj < 0 {
-			panic("des: injector closed twice")
-		}
-		return
-	}
-	at := ss.frontier()
-	if at < hub.now {
-		at = hub.now
-	}
-	if ss.rec.Enabled() {
-		// Live-mode-only, like the single-engine injection event.
-		ss.rec.Emit(int64(at), obs.CatSim, "injector", "inject", obs.A("name", m.name))
-	}
-	hub.spawnAt(at, m.name, m.body)
-}
-
-// drainInjections applies every queued injection without blocking.
-func (ss *ShardSet) drainInjections() {
-	hub := ss.engines[0]
-	for {
-		select {
-		case m := <-hub.injc:
-			ss.applyInjection(m)
-		default:
-			return
-		}
-	}
-}
-
 // Run drives every shard to completion and returns the global makespan
 // (the time of the last dispatched event anywhere). It owns global
 // liveness: when no shard has pending work and no injector is open, any
 // still-live process means the whole simulation deadlocked, and Run panics
-// with the aggregated report the single-engine path would have produced.
-// Like Engine.Run it may be called once.
+// with the aggregated report. Run may be called once.
+//
+// A lone engine has no neighbour to wait for, so Run dispatches it one
+// event at a time and applies injections between events. A multi-engine
+// set runs in lookahead rounds and applies injections between rounds.
 func (ss *ShardSet) Run() Time {
 	if ss.ran {
 		panic("des: ShardSet.Run called twice")
 	}
 	ss.ran = true
-	hub := ss.engines[0]
-	for _, e := range ss.engines {
-		if e.running {
-			panic("des: ShardSet.Run over an engine already running")
-		}
-		e.running = true
-	}
-	defer func() {
-		for _, e := range ss.engines {
-			e.running = false
-		}
-		if !hub.everStopped {
-			hub.everStopped = true
-			close(hub.stopped)
-		}
-	}()
+	defer close(ss.stopped)
 
+	hub := ss.engines[0]
 	n := len(ss.engines)
 	nets := make([]Time, n)
 	effs := make([]Time, n)
@@ -369,8 +271,8 @@ func (ss *ShardSet) Run() Time {
 			}
 		}
 		if idle {
-			if hub.openInj > 0 {
-				ss.applyInjection(<-hub.injc) // park: wait for the outside world
+			if ss.openInj > 0 {
+				ss.applyInjection(<-ss.injc) // park: wait for the outside world
 				continue
 			}
 			live, blocked := 0, []string(nil)
@@ -385,7 +287,10 @@ func (ss *ShardSet) Run() Time {
 			}
 			break
 		}
-
+		if n == 1 {
+			hub.step()
+			continue
+		}
 		// Conservative horizons: relax eff to a fixpoint over the declared
 		// edges (at most n-1 rounds of Bellman-Ford), then bound each shard
 		// by its incoming edges. A shard with no incoming edges is safe to
@@ -443,22 +348,27 @@ func (ss *ShardSet) Run() Time {
 		}
 		rounds++
 		shardRuns += int64(running)
-		if ss.rec.Enabled() {
-			ss.rec.Emit(int64(ss.frontier()), obs.CatEngine, "shardset", "round",
+		if hub.rec.Enabled() {
+			hub.rec.Emit(int64(ss.frontier()), obs.CatEngine, "shardset", "round",
 				obs.Int("round", rounds), obs.Int("ran", int64(running)))
 		}
 	}
 	for _, e := range ss.engines {
 		e.checkFutures()
 	}
-	if ss.rec.Enabled() {
+	if rec := hub.rec; rec.Enabled() {
 		var dispatched int64
 		for _, e := range ss.engines {
 			dispatched += int64(e.dispatched)
 		}
-		ss.rec.Emit(int64(ss.frontier()), obs.CatEngine, "shardset", "shardset.stats",
-			obs.Int("shards", int64(n)), obs.Int("rounds", rounds),
-			obs.Int("shard_runs", shardRuns), obs.Int("dispatched", dispatched))
+		if n == 1 {
+			rec.Emit(int64(hub.now), obs.CatEngine, "engine", "engine.stats",
+				obs.Int("dispatched", dispatched))
+		} else {
+			rec.Emit(int64(ss.frontier()), obs.CatEngine, "shardset", "shardset.stats",
+				obs.Int("shards", int64(n)), obs.Int("rounds", rounds),
+				obs.Int("shard_runs", shardRuns), obs.Int("dispatched", dispatched))
+		}
 	}
 	return ss.frontier()
 }

@@ -82,15 +82,5 @@ func replayTrace(path string, opt serve.ReplayOptions) (serve.DrainResponse, err
 		// merge order is still deterministic.
 		shard = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 	}
-	s := rep.Stats
-	return serve.DrainResponse{
-		Shard: shard, Epoch: tr.Header.Epoch,
-		Submitted: s.Submitted, Done: s.Done, Failed: s.Failed,
-		Cancelled: s.Cancelled,
-		// Every reject class, matching the live handler's s.rejected() —
-		// SLO rejects included, or an SLO-shedding fleet's replay would
-		// drift from its live drain.
-		Rejected: s.RejectedShed + s.RejectedQuota + s.RejectedInvalid + s.RejectedSLO,
-		Report:   rep.String(),
-	}, nil
+	return serve.NewDrainResponse(rep, shard, tr.Header.Epoch), nil
 }

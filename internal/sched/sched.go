@@ -407,28 +407,17 @@ func Run(cc cluster.Config, pol Policy, specs []JobSpec) (*ClusterTrace, error) 
 		return nil, err
 	}
 
-	var eng *des.Engine
-	var ss *des.ShardSet
-	if n := cc.ShardCount(); n > 0 {
-		ss = des.NewShardSet(n)
-		eng = ss.Engine(0)
-	} else {
-		eng = des.NewEngine()
-	}
-	if cc.Obs.Enabled() {
-		if ss != nil {
-			ss.SetRecorder(cc.Obs)
-		} else {
-			eng.SetRecorder(cc.Obs)
-		}
-	}
+	n := cc.ShardCount()
+	ss := des.NewShardSet(max(n, 1))
+	ss.SetRecorder(cc.Obs)
+	eng := ss.Engine(0)
 	cl := cluster.New(eng, cc)
 	defer cl.Close()
 	s, err := NewScheduler(eng, cl, pol)
 	if err != nil {
 		return nil, err
 	}
-	if ss != nil {
+	if n > 0 {
 		s.EnableSharding(ss, cc.Launch(), cc.Fabric.Latency)
 	}
 	for _, sp := range specs {
@@ -447,12 +436,7 @@ func Run(cc cluster.Config, pol Policy, specs []JobSpec) (*ClusterTrace, error) 
 			s.arrive(rec)
 		}
 	})
-	var makespan des.Time
-	if ss != nil {
-		makespan = ss.Run()
-	} else {
-		makespan = eng.Run()
-	}
+	makespan := ss.Run()
 	if s.launchE != nil {
 		return nil, s.launchE
 	}

@@ -53,6 +53,20 @@ type DrainResponse struct {
 	Report    string `json:"report"`
 }
 
+// NewDrainResponse builds the drain handshake's answer from a drained
+// report and the shard's fleet identity. The live /drain handler and the
+// offline replay of a shard's trace (fleet.ReplayDir) both go through it,
+// so their accounting cannot drift apart.
+func NewDrainResponse(rep *Report, shard string, epoch int) DrainResponse {
+	s := &rep.Stats
+	return DrainResponse{
+		Shard: shard, Epoch: epoch,
+		Submitted: s.Submitted, Done: s.Done, Failed: s.Failed,
+		Cancelled: s.Cancelled, Rejected: s.rejected(),
+		Report: rep.String(),
+	}
+}
+
 // FleetRegistration is the router→shard registration handshake body.
 type FleetRegistration struct {
 	Shard string `json:"shard"`
@@ -302,13 +316,7 @@ func (h *handler) drain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		shard, epoch := h.sv.FleetID()
-		s := rep.Stats
-		h.drainResp = DrainResponse{
-			Shard: shard, Epoch: epoch,
-			Submitted: s.Submitted, Done: s.Done, Failed: s.Failed,
-			Cancelled: s.Cancelled, Rejected: s.rejected(),
-			Report: rep.String(),
-		}
+		h.drainResp = NewDrainResponse(rep, shard, epoch)
 		if h.cfg.OnDrain != nil {
 			// On a fresh goroutine: the host's shutdown path may wait for
 			// this very handler to return.

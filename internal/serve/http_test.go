@@ -161,6 +161,28 @@ func TestHandlerLifecycle(t *testing.T) {
 	}
 }
 
+// TestNewDrainResponseCountsEveryReject pins the one drain-accounting
+// constructor: with every reject class non-zero, SLO included, the
+// response carries their sum, the shard identity and the report text.
+func TestNewDrainResponseCountsEveryReject(t *testing.T) {
+	rep := &Report{
+		Cluster: &sched.ClusterTrace{Policy: sched.Policy{Kind: sched.WeightedFair}, Ranks: 8},
+		Stats: Stats{
+			Submitted: 20, Done: 9, Failed: 1, Cancelled: 2,
+			RejectedShed: 1, RejectedQuota: 2, RejectedInvalid: 3, RejectedSLO: 4,
+		},
+	}
+	got := NewDrainResponse(rep, "s1", 3)
+	want := DrainResponse{
+		Shard: "s1", Epoch: 3,
+		Submitted: 20, Done: 9, Failed: 1, Cancelled: 2, Rejected: 10,
+		Report: rep.String(),
+	}
+	if got != want {
+		t.Fatalf("NewDrainResponse = %+v, want %+v", got, want)
+	}
+}
+
 // TestHandlerFleetRegister: the registration handshake stamps the trace
 // header before any event is recorded, and refuses to re-stamp a
 // different identity once the header is on disk.

@@ -299,8 +299,8 @@ func (c Config) quotaFor(tenant string) int {
 // publishes job records and stats to foreign reader goroutines (HTTP).
 type session struct {
 	cfg Config
-	eng *des.Engine   // the hub engine (shard 0 when sharded)
-	ss  *des.ShardSet // nil = single-engine run
+	eng *des.Engine   // the hub engine, shard 0 of ss
+	ss  *des.ShardSet // one engine unless the cluster is sharded
 	cl  *cluster.Cluster
 	sch *sched.Scheduler
 	rec *TraceWriter
@@ -333,28 +333,17 @@ func newSession(cfg Config) (*session, error) {
 	if err := cfg.Cluster.Validate(); err != nil {
 		return nil, err
 	}
-	var eng *des.Engine
-	var ss *des.ShardSet
-	if n := cfg.Cluster.ShardCount(); n > 0 {
-		ss = des.NewShardSet(n)
-		eng = ss.Engine(0)
-	} else {
-		eng = des.NewEngine()
-	}
-	if cfg.Cluster.Obs.Enabled() {
-		if ss != nil {
-			ss.SetRecorder(cfg.Cluster.Obs)
-		} else {
-			eng.SetRecorder(cfg.Cluster.Obs)
-		}
-	}
+	n := cfg.Cluster.ShardCount()
+	ss := des.NewShardSet(max(n, 1))
+	ss.SetRecorder(cfg.Cluster.Obs)
+	eng := ss.Engine(0)
 	cl := cluster.New(eng, cfg.Cluster)
 	sch, err := sched.NewScheduler(eng, cl, cfg.Policy)
 	if err != nil {
 		cl.Close()
 		return nil, err
 	}
-	if ss != nil {
+	if n > 0 {
 		sch.EnableSharding(ss, cfg.Cluster.Launch(), cfg.Cluster.Fabric.Latency)
 	}
 	ses := &session{
@@ -377,23 +366,6 @@ func newSession(cfg Config) (*session, error) {
 	sch.OnDone = ses.onDone
 	sch.OnRequeue = ses.onRequeue
 	return ses, nil
-}
-
-// run drives the session's engine (or shard set) to completion.
-func (ses *session) run() des.Time {
-	if ses.ss != nil {
-		return ses.ss.Run()
-	}
-	return ses.eng.Run()
-}
-
-// newInjector opens the session's injection boundary, served by whichever
-// dispatcher (engine or shard coordinator) will run.
-func (ses *session) newInjector() *des.Injector {
-	if ses.ss != nil {
-		return ses.ss.NewInjector()
-	}
-	return ses.eng.NewInjector()
 }
 
 // tenantStats returns (creating) one tenant's counters. Callers hold mu.
@@ -862,14 +834,14 @@ func Start(cfg Config) (*Server, error) {
 	}
 	sv := &Server{
 		ses:     ses,
-		inj:     ses.newInjector(),
+		inj:     ses.ss.NewInjector(),
 		base:    time.Now(),
 		scale:   cfg.TimeScale,
 		runDone: make(chan struct{}),
 	}
 	go func() {
 		defer close(sv.runDone)
-		sv.makespan = ses.run()
+		sv.makespan = ses.ss.Run()
 		ses.cl.Close()
 	}()
 	return sv, nil
@@ -1054,9 +1026,10 @@ type ReplayOptions struct {
 	// Workers selects the kernel-execution backend (cluster.Config.Workers).
 	Workers int
 	// Shards selects the engine sharding (cluster.Config.Shards): 0 keeps
-	// the legacy single-engine replay, n >= 1 runs n shards, negative one
-	// per node plus the hub. Replays at any shard count >= 1 are mutually
-	// byte-identical; a live run and its replay must use the same setting.
+	// the legacy scheduling model on one engine, n >= 1 runs n shards,
+	// negative one per node plus the hub. Replays at any shard count >= 1
+	// are mutually byte-identical; a live run and its replay must use the
+	// same setting.
 	Shards int
 	// Cluster overrides the cluster reconstruction. The trace header only
 	// records the machine's shape (GPUs, GPUs per node) and Replay rebuilds
@@ -1148,6 +1121,6 @@ func replaySession(tr *Trace, opt ReplayOptions) (*session, des.Time, error) {
 			}
 		}
 	})
-	makespan := ses.run()
+	makespan := ses.ss.Run()
 	return ses, makespan, nil
 }

@@ -7,7 +7,13 @@
 #   4. drain via SIGINT and capture the live report from stdout,
 #   5. replay the recorded arrival trace offline,
 #   6. diff the two reports byte for byte.
+#
+# Usage: scripts/gpmrd_smoke.sh [SHARDS]
+# SHARDS is the engine shard count (gpmrd -shards, default 0) given to
+# both the live daemon and the replay.
 set -euo pipefail
+
+shards="${1:-0}"
 
 cd "$(dirname "$0")/.."
 workdir="$(mktemp -d)"
@@ -18,7 +24,7 @@ base="http://$addr"
 
 go build -o "$workdir/gpmrd" ./cmd/gpmrd
 "$workdir/gpmrd" -addr "$addr" -gpus 8 -policy weighted-fair -queue 8 -quota 4 \
-  -phys 4096 -timescale 20 -trace "$workdir/trace.jsonl" \
+  -shards "$shards" -phys 4096 -timescale 20 -trace "$workdir/trace.jsonl" \
   >"$workdir/live.out" 2>"$workdir/live.log" &
 pid=$!
 
@@ -101,10 +107,10 @@ fi
 wait "$pid"
 
 # Replay the recorded trace offline: the report must match byte for byte.
-"$workdir/gpmrd" -replay "$workdir/trace.jsonl" >"$workdir/replay.out"
+"$workdir/gpmrd" -shards "$shards" -replay "$workdir/trace.jsonl" >"$workdir/replay.out"
 if ! diff -u "$workdir/live.out" "$workdir/replay.out"; then
   echo "live and replay reports differ"
   exit 1
 fi
 
-echo "gpmrd smoke: live report matches offline replay ($(wc -l <"$workdir/live.out") lines)"
+echo "gpmrd smoke (shards $shards): live report matches offline replay ($(wc -l <"$workdir/live.out") lines)"
