@@ -25,13 +25,11 @@
 // backends — the pool only cuts the harness's wall-clock by running
 // map/sort/reduce work from different simulated GPUs concurrently.
 //
-// -shards selects the DES engine sharding of scheduled (multi-tenant)
-// experiments: 0 (default) keeps the legacy scheduling model on one
-// engine, N >= 1 runs sharded dispatch over N coordinated engine shards
-// under conservative lookahead, and -1 uses one shard per simulated node
-// plus a scheduler hub. All shard counts >= 1 produce byte-identical
-// traces; `-exp engine` sweeps the knob and writes BENCH_engine.json.
-// Exclusive runs (fig2, fig3, the tables) always use one engine.
+// -shards selects the scheduling model of scheduled (multi-tenant)
+// experiments: 0 (default) keeps the legacy model, 1 selects the
+// node-leased model (modeled launch and completion latencies, whole-node
+// leases); any other value is an error. Every run uses one DES engine;
+// exclusive runs (fig2, fig3, the tables) ignore the setting.
 //
 // -trace records every run on the virtual-time flight recorder and writes
 // the recording as Chrome trace-event JSON — open it in Perfetto
@@ -49,6 +47,7 @@ import (
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/cluster"
 	"repro/internal/obs"
 )
 
@@ -66,12 +65,16 @@ func main() {
 	phys := flag.Int("phys", 1<<16, "physical element budget per run")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	workers := flag.Int("workers", 0, "kernel-execution workers: 0 = serial, N = pool(N), -1 = pool(all cores)")
-	shards := flag.Int("shards", 0, "DES engine shards for scheduled runs: 0 = legacy scheduling model, N = N shards, -1 = one per node")
+	shards := flag.Int("shards", 0, "scheduling model for scheduled runs: 0 = legacy, 1 = node-leased")
 	tracePath := flag.String("trace", "", "write the runs' flight recording as Chrome trace-event JSON (load in Perfetto)")
 	explain := flag.String("explain", "", "print phase breakdowns after the runs: a job name, or \"all\" (implies recording)")
 	cpuProf := flag.String("cpuprofile", "", "write a host CPU profile to this file")
 	memProf := flag.String("memprofile", "", "write a host heap profile to this file")
 	flag.Parse()
+	if err := cluster.CheckShards(*shards); err != nil {
+		fmt.Fprintf(os.Stderr, "gpmrbench: -shards: %v\n", err)
+		os.Exit(2)
+	}
 
 	o := bench.Options{PhysBudget: *phys, Seed: *seed, Workers: *workers, Shards: *shards}
 	if *tracePath != "" || *explain != "" {
@@ -174,14 +177,6 @@ func main() {
 			}
 			bench.RenderMultijob(out, rows, traces)
 			return nil
-		}},
-		{"engine", "sharded-engine wall-clock sweep (writes BENCH_engine.json)", func() error {
-			rows, err := bench.Engine(o)
-			if err != nil {
-				return err
-			}
-			bench.RenderEngine(out, rows)
-			return bench.WriteEngineJSON("BENCH_engine.json", rows)
 		}},
 		{"online", "open-system offered-load sweep: latency vs reject rate", func() error {
 			rows, err := bench.Online(o)

@@ -68,7 +68,7 @@ func main() {
 	quota := flag.Int("quota", 0, "per-tenant in-flight cap (0 = unlimited)")
 	scale := flag.Float64("timescale", 1, "virtual seconds per wall second at the boundary")
 	workers := flag.Int("workers", 0, "kernel-execution workers (see gpmrbench -workers)")
-	shards := flag.Int("shards", 0, "DES engine shards (see gpmrbench -shards)")
+	shards := flag.Int("shards", 0, "scheduling model: 0 = legacy, 1 = node-leased (see gpmrbench -shards)")
 	phys := flag.Int("phys", 1<<16, "physical element budget per job")
 	keep := flag.Int("keep-outputs", 16, "retain canonical outputs of the N most recent completed jobs (0 = off)")
 	shardID := flag.String("shard-id", "", "fleet shard identity (normally stamped by gpmrfleet registration)")
@@ -229,7 +229,7 @@ func live(o liveOptions) error {
 	// accepted submissions reach the admission path and get answers.
 	stop := make(chan struct{})
 	h := serve.NewHandler(sv, serve.HandlerConfig{OnDrain: func() { close(stop) }})
-	srv := &http.Server{Addr: o.addr, Handler: h}
+	srv := &http.Server{Addr: o.addr, Handler: h, ReadHeaderTimeout: serve.ReadHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("gpmrd: serving %d GPUs (%d/node) under %s on %s", o.gpus, cc.GPUsPerNode, pol.Kind, o.addr)

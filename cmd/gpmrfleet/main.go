@@ -83,7 +83,7 @@ func main() {
 	skew := flag.Int("skew", 0, "queue-depth skew that triggers a rebalance steal (0 = default 4, negative = off)")
 	replayDir := flag.String("replay", "", "replay every shard trace (*.jsonl) in this directory and print the merged report")
 	workers := flag.Int("workers", 0, "replay kernel-execution workers (see gpmrbench -workers)")
-	engineShards := flag.Int("engine-shards", 0, "replay DES engine shards (see gpmrbench -shards)")
+	engineShards := flag.Int("engine-shards", 0, "replay scheduling model: 0 = legacy, 1 = node-leased (see gpmrbench -shards)")
 	obsPath := flag.String("obs", "", "write the router's own flight recording (JSONL) here at exit")
 	timeline := flag.String("timeline", "", "with -replay: write the stitched fleet timeline (Chrome trace JSON) here instead of the report ('-' = stdout)")
 	grace := flag.Duration("shutdown-grace", 10*time.Second, "graceful HTTP shutdown window for in-flight requests")
@@ -151,7 +151,7 @@ func live(shards []fleet.Shard, addr string, replicas int, loadFactor float64,
 	// submissions get terminal answers.
 	stop := make(chan struct{})
 	h := fleet.NewHandler(rt, fleet.HandlerConfig{OnDrain: func() { close(stop) }})
-	srv := &http.Server{Addr: addr, Handler: h}
+	srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: serve.ReadHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("gpmrfleet: routing %d shards on %s", len(shards), addr)

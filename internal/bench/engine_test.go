@@ -17,25 +17,11 @@ import (
 	"repro/internal/serve"
 )
 
-// shardPoints are the engine configurations the sharded differential
-// tests pit against each other: 1 (a one-shard set — the gang shares the
-// hub engine), 2 (the gang on a non-hub shard, launches and completions
-// crossing shards as posts), and -1 (one shard per node plus the hub, the
-// widest decomposition).
-func shardPoints() []int { return []int{1, 2, -1} }
-
-func shardPointName(shards int) string {
-	if shards < 0 {
-		return "per-node"
-	}
-	return fmt.Sprintf("shards(%d)", shards)
-}
-
 // scheduled wraps a job for the scheduler (a generic call, so callers need
 // not name the value type).
 func scheduled[V any](j *core.Job[V]) *core.Scheduled[V] { return &core.Scheduled[V]{Job: j} }
 
-// shardApps builds each app's job for the sharded matrix. MM contributes
+// shardApps builds each app's job for the node-leased matrix. MM contributes
 // its first pass, the one that does the multiply.
 var shardApps = []struct {
 	name string
@@ -64,40 +50,39 @@ var shardApps = []struct {
 }
 
 // runScheduled runs job alone on a cluster of its own size through the
-// scheduler at the given shard count and returns its observables: the
-// cluster trace, the job's own pipeline trace, and its output digest.
-// Above one shard the gang is homed off the hub, so its launch and
-// completion cross shards as posts.
-func runScheduled(t *testing.T, job core.Runnable, shards int) string {
+// node-leased scheduler (Shards = 1) on the given kernel backend and
+// returns its observables: the cluster trace, the job's own pipeline
+// trace, and its output digest.
+func runScheduled(t *testing.T, job core.Runnable, workers int) string {
 	t.Helper()
 	cc := cluster.DefaultConfig(job.GangWant())
-	cc.Shards = shards
+	cc.Shards = 1
+	cc.Workers = workers
 	ct, err := sched.Run(cc, sched.Policy{Kind: sched.FIFOExclusive}, []sched.JobSpec{{Job: job}})
 	if err != nil {
-		t.Fatalf("%s %s: %v", job.RunName(), shardPointName(shards), err)
+		t.Fatalf("%s %s: %v", job.RunName(), backendName(workers), err)
 	}
 	digest, ok := job.(core.OutputDigester).OutputDigest()
 	if !ok {
-		t.Fatalf("%s %s: job never completed", job.RunName(), shardPointName(shards))
+		t.Fatalf("%s %s: job never completed", job.RunName(), backendName(workers))
 	}
 	return fmt.Sprintf("%s%s\noutput digest %016x\n", ct, ct.Jobs[0].Trace, digest)
 }
 
-// TestShardDifferentialMatrix is the engine-layer counterpart of
+// TestShardDifferentialMatrix is the node-leased counterpart of
 // TestBackendDifferentialMatrix: every app at 1, 4, and 8 GPUs, run as a
-// scheduled single job, must produce identical cluster and golden traces
-// and an identical output digest whether its gang shares the hub engine
-// or runs on a shard of its own. Exclusive runs (Job.Run) always use one
-// engine, so the scheduler is where the shard count reaches an app.
+// scheduled single job whose launch and completion are modeled posts,
+// must produce identical cluster and golden traces and an identical
+// output digest on every kernel backend.
 func TestShardDifferentialMatrix(t *testing.T) {
 	for _, app := range shardApps {
 		t.Run(app.name, func(t *testing.T) {
 			for _, gpus := range []int{1, 4, 8} {
-				want := runScheduled(t, app.job(gpus), 1)
-				for _, shards := range shardPoints()[1:] {
-					if got := runScheduled(t, app.job(gpus), shards); got != want {
-						t.Errorf("%d GPUs: %s diverges from the one-shard set:\n--- shards(1)\n%s\n--- %s\n%s",
-							gpus, shardPointName(shards), want, shardPointName(shards), got)
+				want := runScheduled(t, app.job(gpus), 0)
+				for _, workers := range backendPoints()[1:] {
+					if got := runScheduled(t, app.job(gpus), workers); got != want {
+						t.Errorf("%d GPUs: %s diverges from serial:\n--- serial\n%s\n--- %s\n%s",
+							gpus, backendName(workers), want, backendName(workers), got)
 					}
 				}
 			}
@@ -107,9 +92,8 @@ func TestShardDifferentialMatrix(t *testing.T) {
 
 // TestShardDifferentialFaults reruns the fault-injection scenario (a
 // fail-stop mid-map plus a derated straggler with speculation) as a
-// scheduled single job across shard counts: recovery requeues, relays,
-// and twin races must be schedule-identical with the gang on the hub and
-// on a non-hub shard.
+// node-leased scheduled single job on every kernel backend: recovery
+// requeues, relays, and twin races must be schedule-identical.
 func TestShardDifferentialFaults(t *testing.T) {
 	job := func() core.Runnable {
 		job, _ := sio.NewJob(sio.Params{Elements: 8 << 20, GPUs: 8, Seed: 2, PhysMax: 1 << 13, ChunkCap: 1 << 20})
@@ -121,28 +105,24 @@ func TestShardDifferentialFaults(t *testing.T) {
 		}}
 		return scheduled(job)
 	}
-	want := runScheduled(t, job(), 1)
-	for _, shards := range shardPoints()[1:] {
-		if got := runScheduled(t, job(), shards); got != want {
-			t.Errorf("%s fault run diverges from the one-shard set:\n--- shards(1)\n%s\n--- got\n%s",
-				shardPointName(shards), want, got)
+	want := runScheduled(t, job(), 0)
+	for _, workers := range backendPoints()[1:] {
+		if got := runScheduled(t, job(), workers); got != want {
+			t.Errorf("%s fault run diverges from serial:\n--- serial\n%s\n--- got\n%s",
+				backendName(workers), want, got)
 		}
 	}
 }
 
-// TestShardDifferentialMultijob is where sharding actually changes the
-// execution shape: concurrent tenants run on different engine goroutines,
-// launches and completions cross shard boundaries as ordered posts, and
-// gangs lease whole nodes. Unlike exclusive runs, the sharded scheduler's
-// schedule legitimately differs from the legacy engine's (launch and
-// completion latencies become modeled posts, gangs lease whole nodes), so
-// the invariant here is SHARD-COUNT invariance: every shard count >= 1,
-// crossed with both kernel backends, must reproduce the one-shard serial
-// traces byte-for-byte. Pooled kernels under per-node shards is the
-// maximally concurrent configuration the engine supports.
+// TestShardDifferentialMultijob runs the multi-tenant stream on the
+// node-leased model, where launches and completions are ordered posts and
+// gangs lease whole nodes. Its schedule legitimately differs from the
+// legacy model's, so the invariant is backend invariance at Shards = 1:
+// pooled kernels from co-resident tenants must reproduce the serial
+// cluster traces byte for byte.
 func TestShardDifferentialMultijob(t *testing.T) {
-	run := func(workers, shards int) string {
-		_, traces, err := Multijob(Options{PhysBudget: 4096, Seed: 1, Workers: workers, Shards: shards})
+	run := func(workers int) string {
+		_, traces, err := Multijob(Options{PhysBudget: 4096, Seed: 1, Workers: workers, Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,28 +133,19 @@ func TestShardDifferentialMultijob(t *testing.T) {
 		}
 		return all.String()
 	}
-	want := run(0, 1)
-	for _, workers := range []int{0, -1} {
-		for _, shards := range shardPoints() {
-			if workers == 0 && shards == 1 {
-				continue
-			}
-			if got := run(workers, shards); got != want {
-				t.Errorf("workers=%d %s multijob cluster traces diverge from one-shard serial:\n--- shards(1)\n%s\n--- got\n%s",
-					workers, shardPointName(shards), want, got)
-			}
-		}
+	want := run(0)
+	if got := run(-1); got != want {
+		t.Errorf("pool(numcpu) node-leased multijob cluster traces diverge from serial:\n--- serial\n%s\n--- got\n%s",
+			want, got)
 	}
 }
 
 // TestShardDifferentialReplay closes the matrix at the serving layer: the
-// same recorded arrival trace replayed through serve at every shard count
-// must produce an identical full report (cluster trace, admission
-// counters, per-tenant stats, job table). This covers the injector-fed
-// session path rather than sched.Run's pre-batched one. As with
-// multijob, the baseline is the one-shard set, not the legacy engine:
-// the sharded scheduler's modeled launch/done latencies shift the
-// schedule, but never differently for different shard counts.
+// same recorded arrival trace replayed through serve on the node-leased
+// model must produce an identical full report (cluster trace, admission
+// counters, per-tenant stats, job table) on every kernel backend. This
+// covers the injector-fed session path rather than sched.Run's
+// pre-batched one.
 func TestShardDifferentialReplay(t *testing.T) {
 	o := Options{PhysBudget: 4096, Seed: 1}.withDefaults()
 	evs := onlineStream(o, 8)
@@ -187,18 +158,15 @@ func TestShardDifferentialReplay(t *testing.T) {
 		Quota:       OnlineQuota,
 		PhysBudget:  o.PhysBudget,
 	}
-	run := func(shards int) string {
-		rep, err := serve.Replay(&serve.Trace{Header: h, Events: evs}, serve.ReplayOptions{Shards: shards})
+	run := func(workers int) string {
+		rep, err := serve.Replay(&serve.Trace{Header: h, Events: evs}, serve.ReplayOptions{Shards: 1, Workers: workers})
 		if err != nil {
-			t.Fatalf("%s replay: %v", shardPointName(shards), err)
+			t.Fatalf("%s replay: %v", backendName(workers), err)
 		}
 		return rep.String()
 	}
-	want := run(1)
-	for _, shards := range []int{2, -1} {
-		if got := run(shards); got != want {
-			t.Errorf("%s replay report diverges from the one-shard set:\n--- shards(1)\n%s\n--- got\n%s",
-				shardPointName(shards), want, got)
-		}
+	want := run(0)
+	if got := run(-1); got != want {
+		t.Errorf("pool(numcpu) replay report diverges from serial:\n--- serial\n%s\n--- got\n%s", want, got)
 	}
 }

@@ -28,8 +28,8 @@ const FleetJobs = 24
 // FleetShardGPUs is each shard's cluster size.
 const FleetShardGPUs = 8
 
-// fleetShardCounts are the fleet widths swept.
-var fleetShardCounts = []int{2, 4}
+// fleetWidths are the fleet widths swept.
+var fleetWidths = []int{2, 4}
 
 // fleetTenants is the skewed tenant mix: "hot" owns half the stream.
 var fleetTenants = []string{"hot", "ana", "hot", "bo", "hot", "cy"}
@@ -78,7 +78,7 @@ func Fleet(o Options) ([]FleetRow, error) {
 	o = o.withDefaults()
 	evs := fleetStream(o)
 	var rows []FleetRow
-	for _, n := range fleetShardCounts {
+	for _, n := range fleetWidths {
 		ids := make([]string, n)
 		for i := range ids {
 			ids[i] = fmt.Sprintf("s%d", i)

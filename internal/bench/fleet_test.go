@@ -22,8 +22,8 @@ func TestFleetDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(rows1, rows2) {
 		t.Fatalf("fleet sweep is not deterministic:\n%+v\nvs\n%+v", rows1, rows2)
 	}
-	if len(rows1) != 2*len(fleetShardCounts) {
-		t.Fatalf("got %d rows, want %d", len(rows1), 2*len(fleetShardCounts))
+	if len(rows1) != 2*len(fleetWidths) {
+		t.Fatalf("got %d rows, want %d", len(rows1), 2*len(fleetWidths))
 	}
 	for _, r := range rows1 {
 		if r.Done+r.Rejected != FleetJobs {

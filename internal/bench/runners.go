@@ -40,12 +40,10 @@ type Options struct {
 	// negative = pool(GOMAXPROCS). Results are byte-identical across
 	// backends; only harness wall-clock changes.
 	Workers int
-	// Shards selects the DES engine sharding for every scheduled
-	// (multi-tenant) experiment's shared cluster (see cluster.Config.Shards):
-	// 0 = the legacy scheduling model on one engine, n >= 1 = sharded
-	// dispatch over n engines, negative = one per node plus the hub.
-	// Exclusive runs (fig2, fig3, tables) are one gang and always run on
-	// one engine, so it does not affect them.
+	// Shards selects the scheduling model of every scheduled
+	// (multi-tenant) experiment's shared cluster (see
+	// cluster.Config.Shards): 0 = the legacy model, 1 = the node-leased
+	// model. Exclusive runs (fig2, fig3, tables) ignore it.
 	Shards int
 	// Obs, when set, records every run's flight-recorder trace (see
 	// internal/obs). Recording does not perturb results: all rendered

@@ -30,9 +30,9 @@ func renderMultijob(t *testing.T, o Options) string {
 }
 
 func TestTracingDoesNotPerturbMultijob(t *testing.T) {
-	// Both the legacy single engine and a sharded run must render the
-	// exact same report whether or not a recorder is attached.
-	for _, shards := range []int{0, 2} {
+	// Both scheduling models must render the exact same report whether
+	// or not a recorder is attached.
+	for _, shards := range []int{0, 1} {
 		o := traceOpts()
 		o.Shards = shards
 		base := renderMultijob(t, o)
@@ -106,19 +106,16 @@ func canonicalJSONL(t *testing.T, shards, workers int) string {
 
 func TestTraceByteIdenticalAcrossShardsAndBackends(t *testing.T) {
 	// The recorded simulation trace is part of the deterministic output:
-	// every shard count >= 1 crossed with every kernel backend must
-	// produce the identical canonical file.
+	// on the node-leased model every kernel backend must produce the
+	// identical canonical file.
 	ref := canonicalJSONL(t, 1, 0)
 	if ref == "" {
 		t.Fatal("reference run recorded no events")
 	}
-	for _, c := range []struct{ shards, workers int }{
-		{2, 0}, {-1, 0}, {1, 4}, {2, 4}, {-1, 4},
-	} {
-		got := canonicalJSONL(t, c.shards, c.workers)
-		if got != ref {
-			t.Errorf("shards=%d workers=%d: canonical trace differs from shards=1 workers=0 (%d vs %d bytes)",
-				c.shards, c.workers, len(got), len(ref))
+	for _, workers := range []int{1, 4} {
+		if got := canonicalJSONL(t, 1, workers); got != ref {
+			t.Errorf("shards=1 workers=%d: canonical trace differs from workers=0 (%d vs %d bytes)",
+				workers, len(got), len(ref))
 		}
 	}
 }

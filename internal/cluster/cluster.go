@@ -8,6 +8,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/des"
@@ -73,21 +74,20 @@ type Config struct {
 	// cluster after the engine finishes.
 	Workers int
 
-	// Shards selects how a scheduled simulation is dispatched: 0 keeps
-	// the legacy scheduling model (same-engine launches, rank-granular
-	// placement) on one engine, n >= 1 runs sharded dispatch over a
-	// ShardSet of n engines (engine 0 is the scheduler hub; job gangs are
-	// homed on engines 1..n-1 when n >= 2), and negative means one engine
-	// per cluster node plus the hub. All shard counts >= 1 produce
-	// byte-identical traces and results; only host wall-clock changes.
-	// Exclusive runs (core.Job.Run) always use one engine and ignore it.
+	// Shards selects the scheduling model of a scheduled simulation: 0
+	// keeps the legacy model (same-engine launches, rank-granular
+	// placement), and 1 selects the node-leased model (launches and
+	// completions are posts that charge LaunchOverhead and one fabric
+	// latency, and gangs lease whole nodes). Every simulation runs on one
+	// engine; other values are rejected with ErrBadShards. Exclusive runs
+	// (core.Job.Run) ignore it.
 	Shards int
 
 	// LaunchOverhead is the simulated delay between the scheduler
 	// deciding to start a job and its gang processes beginning on their
-	// nodes — MPI wireup plus CUDA context dispatch. It doubles as the
-	// hub->shard lookahead that lets shards run concurrently. Zero means
-	// DefaultLaunchOverhead. Only sharded runs (Shards != 0) charge it.
+	// nodes — MPI wireup plus CUDA context dispatch. Zero means
+	// DefaultLaunchOverhead. Only the node-leased model (Shards = 1)
+	// charges it.
 	LaunchOverhead des.Time
 
 	// Obs is the flight recorder shared by every layer of the simulation
@@ -96,24 +96,21 @@ type Config struct {
 	Obs *obs.Recorder
 }
 
-// DefaultLaunchOverhead is the job-launch dispatch cost charged by sharded
-// runs: roughly mpirun wireup + CUDA context creation on the paper's
-// cluster.
+// DefaultLaunchOverhead is the job-launch dispatch cost charged by the
+// node-leased model: roughly mpirun wireup + CUDA context creation on the
+// paper's cluster.
 const DefaultLaunchOverhead = 2 * des.Millisecond
 
-// ShardCount decodes the Shards knob against the cluster shape: the number
-// of engines a ShardSet should hold, or 0 for the legacy scheduling model
-// (which runs on one engine). Negative Shards means one engine per node
-// plus the hub.
-func (c Config) ShardCount() int {
-	if c.Shards == 0 {
-		return 0
+// ErrBadShards reports a Shards setting other than 0 (legacy scheduling
+// model) or 1 (node-leased model).
+var ErrBadShards = errors.New("cluster: Shards must be 0 (legacy scheduling model) or 1 (node-leased model)")
+
+// CheckShards validates a Shards setting.
+func CheckShards(shards int) error {
+	if shards != 0 && shards != 1 {
+		return fmt.Errorf("%w, got %d", ErrBadShards, shards)
 	}
-	if c.Shards < 0 {
-		nNodes := (c.GPUs + c.GPUsPerNode - 1) / c.GPUsPerNode
-		return nNodes + 1
-	}
-	return c.Shards
+	return nil
 }
 
 // Launch returns the effective launch overhead.
@@ -133,7 +130,7 @@ func (c Config) Validate() error {
 	if c.GPUsPerNode <= 0 || c.GPUsPerNode > c.Node.GPUsPerNode {
 		return fmt.Errorf("cluster: GPUsPerNode %d outside 1..%d", c.GPUsPerNode, c.Node.GPUsPerNode)
 	}
-	return nil
+	return CheckShards(c.Shards)
 }
 
 // DefaultConfig returns the paper's testbed scaled to nGPUs ranks, packing

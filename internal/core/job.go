@@ -80,8 +80,8 @@ func (j *Job[V]) Run() (*Result[V], error) {
 	if err != nil {
 		return nil, err
 	}
-	// An exclusive job is one gang — one shard's worth of work — so it runs
-	// on a lone engine whatever the cluster's shard count.
+	// An exclusive job is one gang on a machine of its own, so the
+	// cluster's scheduling model (Shards) does not apply.
 	eng := des.NewEngine()
 	eng.SetRecorder(cfg.Cluster.Obs)
 	cl := cluster.New(eng, *cfg.Cluster)

@@ -23,9 +23,7 @@ func (c *Cond) Wait(p *Proc) {
 }
 
 // Broadcast wakes every process currently waiting. Waiters that park
-// after the call wait for the next broadcast. Wakes are delivered on each
-// waiter's own engine, so a primitive created on one shard serves
-// whichever shard's processes wait on it.
+// after the call wait for the next broadcast.
 func (c *Cond) Broadcast() {
 	waiters := c.waiters
 	c.waiters = nil

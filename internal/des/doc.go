@@ -1,65 +1,44 @@
-// Package des implements a deterministic discrete-event simulation engine
-// that can run single-threaded or as N coordinated shards.
+// Package des implements a deterministic, single-threaded discrete-event
+// simulation engine.
 //
-// There is one run path. NewEngine returns the sole engine of a
-// one-engine ShardSet, and Engine.Run and Engine.NewInjector are the set's
-// Run and NewInjector; ShardSet.Run is the only dispatch loop. Each engine
-// keeps its wake-ups and its buffered cross-shard posts in one typed
-// min-heap, so dispatching an event allocates nothing.
+// There is one engine and one run loop: Engine.Run dispatches one event at
+// a time. The engine keeps its wake-ups and its buffered posts in one typed
+// min-heap each, so dispatching an event allocates nothing.
 //
 // The engine advances a virtual clock and runs simulated processes
-// cooperatively: exactly one process of an engine executes at a time, and
-// all ties in wake-up time are broken by scheduling sequence number, so a
-// simulation is bit-reproducible across runs regardless of host
-// scheduling. Processes are ordinary goroutines that hand control back to
-// the engine whenever they perform a blocking simulation primitive (Sleep,
-// resource Acquire, queue Get). The package provides FIFO resources with
-// integer capacity, unbounded message queues, one-shot signals, condition
-// broadcasts, and waitgroups — enough to model compute engines, buses,
-// NICs, and MPI-style message passing.
+// cooperatively: exactly one process executes at a time, and all ties in
+// wake-up time are broken by scheduling sequence number, so a simulation
+// is bit-reproducible across runs regardless of host scheduling. Processes
+// are ordinary goroutines that hand control back to the engine whenever
+// they perform a blocking simulation primitive (Sleep, resource Acquire,
+// queue Get). The package provides FIFO resources with integer capacity,
+// unbounded message queues, one-shot signals, condition broadcasts, and
+// waitgroups — enough to model compute engines, buses, NICs, and MPI-style
+// message passing.
+//
+// Engine.Post models a message with a latency (a job launch, a completion
+// notice): it spawns a process after a positive delay, and posts due at
+// the same instant are applied in (logical sender, per-sender sequence)
+// order, ahead of every ordinary event at that instant. The scheduler's
+// node-leased model launches and completes its gangs through posts.
 //
 // # Concurrency contract
 //
-// Everything in this package is governed by three ownership rules.
+// Everything in this package is governed by two ownership rules.
 //
-// Engine-confined state. An Engine's clock, event heap, post heap,
+// Engine-confined state. The engine's clock, event heap, post heap,
 // process table, and open-future set are touched only by the goroutine
-// currently driving that engine: the owning goroutine before Run, then
+// currently driving the engine: the owning goroutine before Run, then
 // exactly one of {the dispatch loop, the single running process} at a
-// time. Primitives (Resource, Queue, Signal, Cond, WaitGroup) are engine-
-// confined too, with one twist: an idle Resource re-homes to the engine of
-// its next acquirer, and every primitive delivers wake-ups on the parked
-// process's OWN engine — which is what lets hardware models (NICs, PCIe
-// links, GPU engines) be leased to tenants on different shards over time
-// without any locking. A primitive must never be touched concurrently from
-// two shards; callers guarantee that by confining each cooperating process
-// group (a job's gang) to one shard and leasing shared hardware
-// whole-node, so at any instant each primitive has exactly one owning
-// shard.
-//
-// Shard ownership. A ShardSet runs N engines in rounds under conservative
-// lookahead: each round the coordinator computes, from every shard's
-// next-event time and the declared cross-shard edge latencies, a safe
-// horizon per shard, and shards run concurrently strictly below their
-// horizons. Cross-shard effects travel ONLY through ShardSet.Post, which
-// stamps each message with (deliver-at, srcKey, seq) — srcKey names the
-// logical sender, stably across shard layouts — and buffers it at the
-// destination. A buffered post is applied before any local event at the
-// same or later time, so the merged dispatch order of every engine is a
-// pure function of the simulation, not of the shard count: 1, 2, and N
-// shards produce byte-identical event orders, traces, and outputs. Posts
-// must carry at least their edge's declared delay; both Post and delivery
-// assert the lookahead invariant (a post can never land behind its
-// destination's frontier).
+// time. Primitives (Resource, Queue, Signal, Cond, WaitGroup) are
+// engine-confined too.
 //
 // Injector and Future rules. Injectors are the ONLY thread-safe boundary:
-// Inject and Close may be called from any foreign goroutine, and the
-// ShardSet coordinator applies injections on the hub engine. A lone engine
-// takes them between events, so a live arrival lands at the current
-// frontier even behind a long backlog; a multi-engine set takes them
-// between rounds, at the global frontier. Futures are the join handles for
-// host work dispatched outside the simulation: NewFuture and Join must run
-// on a process of the owning engine, Complete/Fail on the worker; every
-// future must be joined before shutdown, and Run panics on leaks. See
-// DESIGN.md, "Sharded engine".
+// Inject and Close may be called from any foreign goroutine, and Run
+// applies injections between events, so a live arrival lands at the
+// current frontier even behind a long backlog. Futures are the join
+// handles for host work dispatched outside the simulation: NewFuture and
+// Join must run on a process of the owning engine, Complete/Fail on the
+// worker; every future must be joined before shutdown, and Run panics on
+// leaks. See DESIGN.md, "One engine".
 package des

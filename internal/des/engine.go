@@ -24,29 +24,22 @@ func (a event) before(b event) bool {
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use; all interaction happens from simulated processes while the
-// engine is running, or from the owning goroutine before Run.
-//
-// Every Engine belongs to a ShardSet (see shard.go): NewEngine builds the
-// sole engine of a one-engine set, which Run drives event by event, and a
-// multi-engine set advances each of its engines window by window under
-// conservative-lookahead synchronization. Either way, every piece of engine
-// state is engine-confined: it is touched only by the goroutine currently
-// driving this engine (the owner before Run, then exactly one process or
-// the dispatch loop at a time).
+// engine is running, or from the owning goroutine before Run. The one
+// exception is the Injector (see inject.go), the engine's only thread-safe
+// boundary. Engine state is touched only by the goroutine currently
+// driving the engine: the owner before Run, then exactly one of the
+// dispatch loop and the single running process at a time.
 type Engine struct {
-	now     Time
-	seq     uint64
-	queue   minHeap[event]
-	yield   chan yieldMsg
-	procs   []*Proc
-	live    int // spawned but not finished
-	blocked int // parked with no pending wake event
-	// Cross-shard messages buffered for delivery, ordered by (at, srcKey,
-	// seq) so the merged dispatch order is identical at every shard count,
-	// and the set this engine belongs to.
+	now   Time
+	seq   uint64
+	queue minHeap[event]
+	yield chan yieldMsg
+	procs []*Proc
+	live  int // spawned but not finished
+	// Buffered posts (see post.go), ordered by (at, srcKey, seq), and the
+	// next sequence number of each logical sender.
 	posts minHeap[post]
-	set   *ShardSet
-	shard int // index within set
+	seqs  map[int]uint64
 	// openFutures tracks join obligations for host work dispatched outside
 	// the simulation (see future.go). Mutated only from the engine's
 	// serialized goroutines; Run refuses to shut down while any remain.
@@ -56,6 +49,16 @@ type Engine struct {
 	// events come from the layers above through the same recorder.
 	rec        *obs.Recorder
 	dispatched uint64
+
+	// Run and injection state. injc is deliberately unbuffered: a
+	// successful send means Run received the message, so it is guaranteed
+	// to be applied — a buffered channel would let a send race the final
+	// drain and strand an accepted injection forever. stopped is closed
+	// when Run returns, failing later injections fast.
+	ran     bool
+	openInj int
+	injc    chan injMsg
+	stopped chan struct{}
 }
 
 type yieldMsg struct {
@@ -64,16 +67,14 @@ type yieldMsg struct {
 	pnc  any // panic value propagated from the process, if any
 }
 
-// NewEngine returns an empty simulation at time zero: the sole engine of
-// a one-engine ShardSet.
-func NewEngine() *Engine { return NewShardSet(1).Engine(0) }
-
-func newEngine(set *ShardSet, shard int) *Engine {
+// NewEngine returns an empty simulation at time zero.
+func NewEngine() *Engine {
 	return &Engine{
 		yield:       make(chan yieldMsg),
-		set:         set,
-		shard:       shard,
+		seqs:        make(map[int]uint64),
 		openFutures: make(map[*Future]struct{}),
+		injc:        make(chan injMsg),
+		stopped:     make(chan struct{}),
 	}
 }
 
@@ -83,7 +84,7 @@ func (e *Engine) Now() Time { return e.now }
 // SetRecorder attaches a flight recorder (nil disables recording). Must
 // be called before Run.
 func (e *Engine) SetRecorder(r *obs.Recorder) {
-	if e.set.ran {
+	if e.ran {
 		panic("des: SetRecorder after Run")
 	}
 	e.rec = r
@@ -118,9 +119,9 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 }
 
 // spawnAt registers a new process whose body starts at time at (>= now).
-// It is how buffered cross-shard posts materialize: the post's delivery
-// time is in this engine's future, and the spawned process's first event
-// must carry that time, not the current frontier.
+// It is how buffered posts materialize: the post's delivery time is in the
+// engine's future, and the spawned process's first event must carry that
+// time, not the current frontier.
 func (e *Engine) spawnAt(at Time, name string, body func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
 	e.procs = append(e.procs, p)
@@ -167,10 +168,7 @@ func (e *Engine) scheduleClass(at Time, p *Proc, class uint64) {
 func (p *Proc) Park() { p.park() }
 
 // Wake resumes a process suspended with Park (or any parked waiter) at the
-// current simulated time. The wake is delivered on the process's own
-// engine: synchronization primitives migrate between shards (see
-// Resource), so the engine that created a primitive is not necessarily
-// the one whose clock governs its waiters.
+// current simulated time.
 func (e *Engine) Wake(p *Proc) { p.eng.wake(p) }
 
 // wake reschedules a parked process to run at the current time. It is used
@@ -180,7 +178,6 @@ func (e *Engine) wake(p *Proc) {
 		panic("des: waking a process that is not parked")
 	}
 	p.parked = false
-	e.blocked--
 	e.schedule(e.now, p)
 }
 
@@ -188,7 +185,6 @@ func (e *Engine) wake(p *Proc) {
 // process must call wake (via a resource release or queue put) to resume it.
 func (p *Proc) park() {
 	p.parked = true
-	p.eng.blocked++
 	p.eng.yield <- yieldMsg{proc: p}
 	<-p.resume
 }
@@ -219,17 +215,41 @@ func (p *Proc) sleep(d Time, class uint64) {
 func (p *Proc) Yield() { p.Sleep(0) }
 
 // Run executes the simulation until every spawned process has finished
-// and returns the final simulated time; it is ShardSet.Run on the
-// engine's one-engine set. If all remaining processes are blocked with no
-// pending events, Run panics with a deadlock report. While the engine has
-// open injectors (see inject.go), an empty event queue parks Run instead,
-// until the outside world injects more work or closes the last injector.
-// An engine that shares its set with others is driven by ShardSet.Run.
+// and returns the final simulated time. It dispatches one event at a time
+// and applies injections (see inject.go) between events, so a live arrival
+// lands at the current frontier even behind a long backlog. If all
+// remaining processes are blocked with no pending events, Run panics with
+// a deadlock report. While the engine has open injectors, an empty event
+// queue parks Run instead, until the outside world injects more work or
+// closes the last injector. Run may be called once.
 func (e *Engine) Run() Time {
-	if len(e.set.engines) > 1 {
-		panic("des: Engine.Run on one shard of a multi-engine set; run the ShardSet")
+	if e.ran {
+		panic("des: Run called twice")
 	}
-	return e.set.Run()
+	e.ran = true
+	defer close(e.stopped)
+	for {
+		e.drainInjections()
+		if _, ok := e.nextTime(); ok {
+			e.step()
+			continue
+		}
+		if e.openInj > 0 {
+			e.applyInjection(<-e.injc) // park: wait for the outside world
+			continue
+		}
+		if e.live > 0 {
+			panic(fmt.Sprintf("des: deadlock at t=%v: %d process(es) blocked: %v",
+				e.now, e.live, e.blockedNames()))
+		}
+		break
+	}
+	e.checkFutures()
+	if e.rec.Enabled() {
+		e.rec.Emit(int64(e.now), obs.CatEngine, "engine", "engine.stats",
+			obs.Int("dispatched", int64(e.dispatched)))
+	}
+	return e.now
 }
 
 // checkFutures panics if host work dispatched through this engine was never
@@ -255,9 +275,7 @@ func (e *Engine) pruneQueue() {
 }
 
 // nextTime reports the earliest pending activity — a queued event or a
-// buffered cross-shard post — or ok=false when the engine has nothing
-// scheduled. In a ShardSet this is the shard's next-event time (NET), the
-// input to the coordinator's safe-horizon computation.
+// buffered post — or ok=false when the engine has nothing scheduled.
 func (e *Engine) nextTime() (Time, bool) {
 	e.pruneQueue()
 	var t Time
@@ -274,18 +292,10 @@ func (e *Engine) nextTime() (Time, bool) {
 // step dispatches the single earliest pending activity. Buffered posts win
 // time ties with local events: a post due at T is applied (its process
 // spawned, allocating the next sequence number) before anything at T runs.
-// Because the rule consults only this engine's own state, and posts carry a
-// shard-count-invariant (at, srcKey, seq) order, the merged dispatch order
-// is identical whether the logical sender shares this engine or lives on
-// another shard.
 func (e *Engine) step() {
 	e.pruneQueue()
 	if len(e.posts) > 0 && (len(e.queue) == 0 || e.posts[0].at <= e.queue[0].at) {
 		po := e.posts.pop()
-		if po.at < e.now {
-			panic(fmt.Sprintf("des: post %q for t=%v applied behind the frontier t=%v (lookahead violation)",
-				po.name, po.at, e.now))
-		}
 		e.spawnAt(po.at, po.name, po.body)
 		return
 	}
@@ -299,23 +309,6 @@ func (e *Engine) step() {
 	}
 	if msg.done {
 		e.live--
-	}
-}
-
-// runWindow advances the shard through every pending activity strictly
-// before horizon, then returns. Unlike Run it never declares deadlock: a
-// shard whose processes are all blocked may be waiting on a cross-shard
-// post a later round delivers, so global liveness belongs to the ShardSet
-// coordinator. The strict bound is what keeps delivery deterministic — a
-// neighbour may still post an event at exactly horizon, and it must arrive
-// before anything local at that time runs.
-func (e *Engine) runWindow(horizon Time) {
-	for {
-		t, ok := e.nextTime()
-		if !ok || t >= horizon {
-			return
-		}
-		e.step()
 	}
 }
 

@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -317,6 +318,30 @@ func TestDeadlockPanics(t *testing.T) {
 	q := NewQueue(e, "never")
 	e.Spawn("stuck", func(p *Proc) { q.Get(p) })
 	e.Run()
+}
+
+// TestPostedProcessDeadlockPanics: a posted process that parks forever
+// deadlocks the engine, and the report names it.
+func TestPostedProcessDeadlockPanics(t *testing.T) {
+	e := NewEngine()
+	sig := NewSignal(e)
+	e.Post(-1, 3, "waiter.launch", func(p *Proc) {
+		e.Spawn("stuck", func(q *Proc) { sig.Wait(q) })
+	})
+	msg := mustPanic(t, func() { e.Run() })
+	for _, want := range []string{"deadlock at t=3ns", "stuck"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("panic %q does not mention %q", msg, want)
+		}
+	}
+}
+
+// TestRunTwicePanics: an engine runs once.
+func TestRunTwicePanics(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("noop", func(p *Proc) {})
+	e.Run()
+	expectPanic(t, "Run called twice", func() { e.Run() })
 }
 
 func TestProcessPanicPropagates(t *testing.T) {

@@ -1,7 +1,7 @@
 package des
 
 // minHeap is a binary min-heap ordered by T.before. It holds the engine's
-// event queue and its cross-shard post buffer. Every key either type
+// event queue and its post buffer. Every key either type
 // pushes is unique, so the pop order is fully determined by before.
 type minHeap[T interface{ before(T) bool }] []T
 

@@ -43,30 +43,20 @@ type injMsg struct {
 // have finished, Run returns. Inject and Close are safe to call from any
 // goroutine, but an open-mode engine must be driven by exactly one Run
 // call; after Run returns, both report ErrEngineStopped.
-//
-// Injectors belong to the ShardSet, whose coordinator applies them on the
-// hub engine: between events for a lone engine, and between rounds, at the
-// global frontier, for a multi-engine set.
 type Injector struct {
-	set    *ShardSet
+	eng    *Engine
 	closed atomic.Bool
 }
 
-// NewInjector opens an injection handle on the engine's set (see
-// ShardSet.NewInjector). It must be called before Run starts; open
-// injectors keep Run from returning until each is closed.
-func (e *Engine) NewInjector() *Injector { return e.set.NewInjector() }
-
-// NewInjector opens an injection handle served by the coordinator.
-// Injected bodies spawn on the hub engine at the global frontier (the
-// maximum shard clock), so their effects reach every other shard strictly
-// beyond any clock it has already passed. Must be called before Run.
-func (ss *ShardSet) NewInjector() *Injector {
-	if ss.ran {
+// NewInjector opens an injection handle on the engine. It must be called
+// before Run starts; open injectors keep Run from returning until each is
+// closed.
+func (e *Engine) NewInjector() *Injector {
+	if e.ran {
 		panic("des: NewInjector after Run")
 	}
-	ss.openInj++
-	return &Injector{set: ss}
+	e.openInj++
+	return &Injector{eng: e}
 }
 
 // Inject schedules body to run as a new process named name at the engine's
@@ -80,7 +70,7 @@ func (i *Injector) Inject(name string, body func(p *Proc)) error {
 	if i.closed.Load() {
 		return ErrInjectorClosed
 	}
-	return i.set.inject(injMsg{name: name, body: body})
+	return i.eng.inject(injMsg{name: name, body: body})
 }
 
 // Close ends this injector's hold on the engine. Idempotent; after the
@@ -89,52 +79,50 @@ func (i *Injector) Close() error {
 	if !i.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	return i.set.inject(injMsg{close: true})
+	return i.eng.inject(injMsg{close: true})
 }
 
-// inject hands a message to the running coordinator, failing once Run has
+// inject hands a message to the running engine, failing once Run has
 // returned rather than blocking forever.
-func (ss *ShardSet) inject(m injMsg) error {
+func (e *Engine) inject(m injMsg) error {
 	select {
-	case <-ss.stopped:
+	case <-e.stopped:
 		return ErrEngineStopped
 	default:
 	}
 	select {
-	case ss.injc <- m:
+	case e.injc <- m:
 		return nil
-	case <-ss.stopped:
+	case <-e.stopped:
 		return ErrEngineStopped
 	}
 }
 
-// applyInjection lands one injection on the hub at the global frontier.
-// Runs on the coordinator goroutine between event dispatches.
-func (ss *ShardSet) applyInjection(m injMsg) {
+// applyInjection lands one injection at the frontier. Runs on the
+// dispatch loop between events.
+func (e *Engine) applyInjection(m injMsg) {
 	if m.close {
-		ss.openInj--
-		if ss.openInj < 0 {
+		e.openInj--
+		if e.openInj < 0 {
 			panic("des: injector closed twice")
 		}
 		return
 	}
-	hub := ss.engines[0]
-	at := ss.frontier()
-	if hub.rec.Enabled() {
+	if e.rec.Enabled() {
 		// Injections exist only in live (wall-clock-driven) runs; replayed
 		// and batch simulations spawn their arrivals as ordinary processes,
 		// so these events never appear on a determinism-checked path.
-		hub.rec.Emit(int64(at), obs.CatSim, "injector", "inject", obs.A("name", m.name))
+		e.rec.Emit(int64(e.now), obs.CatSim, "injector", "inject", obs.A("name", m.name))
 	}
-	hub.spawnAt(at, m.name, m.body)
+	e.spawnAt(e.now, m.name, m.body)
 }
 
 // drainInjections applies every injection already queued, without blocking.
-func (ss *ShardSet) drainInjections() {
+func (e *Engine) drainInjections() {
 	for {
 		select {
-		case m := <-ss.injc:
-			ss.applyInjection(m)
+		case m := <-e.injc:
+			e.applyInjection(m)
 		default:
 			return
 		}

@@ -85,15 +85,38 @@ func waitParked(t *testing.T, eng *Engine, want Time) {
 
 // injectProbe runs a no-op process that reports the frontier time.
 func injectProbe(eng *Engine, probe chan Time) error {
-	return eng.set.inject(injMsg{name: "probe", body: func(p *Proc) { probe <- p.Now() }})
+	return eng.inject(injMsg{name: "probe", body: func(p *Proc) { probe <- p.Now() }})
 }
 
 // TestInjectorConcurrentSubmitters drives many foreign goroutines into one
-// engine under the race detector: every injection must land exactly once,
-// at a monotonically non-decreasing frontier.
+// otherwise idle engine under the race detector: every injection must land
+// exactly once, at a monotonically non-decreasing frontier.
 func TestInjectorConcurrentSubmitters(t *testing.T) {
 	eng := NewEngine()
+	concurrentSubmitters(t, eng, eng.NewInjector())
+}
+
+// TestShardSetInjectorConcurrentSubmitters is the busy-engine variant (the
+// name is kept from when it ran on a multi-engine shard set): a ticker keeps
+// the clock moving and posts progress notices while the submitters inject,
+// so injections interleave with posted events instead of landing on an
+// idle engine.
+func TestShardSetInjectorConcurrentSubmitters(t *testing.T) {
+	eng := NewEngine()
 	inj := eng.NewInjector()
+	eng.Spawn("ticker", func(p *Proc) {
+		for i := 0; i < 50; i++ {
+			p.Sleep(2)
+			eng.Post(1, 2, "tick", func(q *Proc) {})
+		}
+	})
+	concurrentSubmitters(t, eng, inj)
+}
+
+// concurrentSubmitters runs eng, injects from 8 goroutines through inj,
+// closes inj and checks that every injection ran once, in frontier order.
+func concurrentSubmitters(t *testing.T, eng *Engine, inj *Injector) {
+	t.Helper()
 	const submitters, each = 8, 25
 
 	var mu sync.Mutex
@@ -160,7 +183,7 @@ func TestInjectorAfterStop(t *testing.T) {
 	}
 	// The engine-level boundary (a racing injector that never observed the
 	// shutdown) fails fast instead of blocking on a drained channel.
-	if err := eng.set.inject(injMsg{name: "late", body: func(p *Proc) {}}); err != ErrEngineStopped {
+	if err := eng.inject(injMsg{name: "late", body: func(p *Proc) {}}); err != ErrEngineStopped {
 		t.Fatalf("engine inject after stop: err=%v, want ErrEngineStopped", err)
 	}
 }
@@ -194,55 +217,41 @@ func TestInjectorClosedRejects(t *testing.T) {
 }
 
 // TestInjectorWhileBusy: injections submitted while the engine is mid-run
-// are applied between events, at the then-current frontier — for a
-// standalone engine and for the hub of a one-shard set alike. The ticker
+// are applied between events, at the then-current frontier. The ticker
 // spends host time on every tick, so an engine that held injections until
 // its backlog drained would land the probe at the ticker's end (t=100).
 func TestInjectorWhileBusy(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		open func() (*Engine, *Injector, func() Time)
-	}{
-		{"engine", func() (*Engine, *Injector, func() Time) {
-			e := NewEngine()
-			return e, e.NewInjector(), e.Run
-		}},
-		{"one-shard set", func() (*Engine, *Injector, func() Time) {
-			ss := NewShardSet(1)
-			return ss.Engine(0), ss.NewInjector(), ss.Run
-		}},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			eng, inj, run := c.open()
-			// A long-running background process keeps the engine busy.
-			tick := make(chan Time, 64)
-			eng.Spawn("ticker", func(p *Proc) {
-				for i := 0; i < 50; i++ {
-					p.Sleep(2)
-					time.Sleep(time.Millisecond)
-					select {
-					case tick <- p.Now():
-					default:
-					}
+	t.Run("engine", func(t *testing.T) {
+		eng := NewEngine()
+		inj := eng.NewInjector()
+		// A long-running background process keeps the engine busy.
+		tick := make(chan Time, 64)
+		eng.Spawn("ticker", func(p *Proc) {
+			for i := 0; i < 50; i++ {
+				p.Sleep(2)
+				time.Sleep(time.Millisecond)
+				select {
+				case tick <- p.Now():
+				default:
 				}
-			})
-			done := make(chan Time, 1)
-			go func() { done <- run() }()
-
-			<-tick // engine is demonstrably past t=0
-			at := make(chan Time, 1)
-			if err := inj.Inject("probe", func(p *Proc) { at <- p.Now() }); err != nil {
-				t.Fatalf("Inject: %v", err)
-			}
-			if got := <-at; got <= 0 || got >= 100 {
-				t.Fatalf("injection landed at t=%v, want inside the ticker's run (0, 100)", got)
-			}
-			if err := inj.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			if end := <-done; end != 100 {
-				t.Fatalf("Run returned t=%v, want 100", end)
 			}
 		})
-	}
+		done := make(chan Time, 1)
+		go func() { done <- eng.Run() }()
+
+		<-tick // engine is demonstrably past t=0
+		at := make(chan Time, 1)
+		if err := inj.Inject("probe", func(p *Proc) { at <- p.Now() }); err != nil {
+			t.Fatalf("Inject: %v", err)
+		}
+		if got := <-at; got <= 0 || got >= 100 {
+			t.Fatalf("injection landed at t=%v, want inside the ticker's run (0, 100)", got)
+		}
+		if err := inj.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if end := <-done; end != 100 {
+			t.Fatalf("Run returned t=%v, want 100", end)
+		}
+	})
 }

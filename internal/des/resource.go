@@ -60,17 +60,6 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	if n > r.cap {
 		panic(fmt.Sprintf("des: Acquire(%d) exceeds capacity %d of %s", n, r.cap, r.name))
 	}
-	if r.held == 0 && len(r.waiters) == 0 && r.eng != p.eng {
-		// An idle facility adopts its next user's engine. Hardware modeled
-		// by a resource (a NIC, a PCIe link, a GPU engine) is leased to one
-		// shard's tenant at a time in sharded runs; re-homing on the idle
-		// boundary keeps Release's busy accounting and wake-ups in the time
-		// domain of the shard that actually holds it.
-		// Zero units were held since lastTs, so the busy integral carries
-		// over unchanged; only the timestamp moves into the new domain.
-		r.eng = p.eng
-		r.lastTs = p.Now()
-	}
 	if len(r.waiters) == 0 && r.held+n <= r.cap {
 		r.accountTo(p.Now())
 		r.held += n

@@ -53,10 +53,8 @@ type Fabric struct {
 	nicIn  []*des.Resource
 	nicOut []*des.Resource
 
-	// Traffic counters in virtual bytes, kept per SENDER node so that
-	// concurrent tenants on different engine shards never write the same
-	// word: a node's NICs belong to one gang at a time, and that gang's
-	// processes all live on one shard. Reports sum them.
+	// Traffic counters in virtual bytes, kept per SENDER node. Reports sum
+	// them.
 	bytesSent  []int64
 	localBytes []int64
 }
@@ -94,7 +92,7 @@ func New(eng *des.Engine, props Props, nodeOf []int) *Fabric {
 func (f *Fabric) Props() Props { return f.props }
 
 // BytesSent sums cross-node traffic in virtual bytes over all nodes.
-// Call it from a quiesced simulation (reports), not mid-run from a shard.
+// Call it from a quiesced simulation (reports) or from a process.
 func (f *Fabric) BytesSent() int64 {
 	var sum int64
 	for _, b := range f.bytesSent {
@@ -145,9 +143,6 @@ func (f *Fabric) Send(p *des.Proc, from, to int, tag string, virtBytes int64, pa
 	out.Release(1)
 	in := f.nicIn[f.nodeOf[to]]
 	lat := f.props.Latency
-	// The wire process lives on the SENDER's engine — p's, not the one the
-	// fabric was built on — so a sharded run keeps a gang's in-flight
-	// messages on the gang's own shard.
 	p.Engine().Spawn(fmt.Sprintf("wire:%d->%d", from, to), func(w *des.Proc) {
 		w.Sleep(lat)
 		// Cut-through: ingress occupancy overlaps egress in real fabrics;
@@ -224,9 +219,7 @@ func (b *Barrier) Arrive(p *des.Proc) {
 		p.Park()
 		return
 	}
-	// Last arrival releases everyone after one latency hop. Wakes go
-	// through each waiter's own engine (see des.Engine.Wake), so a barrier
-	// serves whichever shard its participants run on.
+	// Last arrival releases everyone after one latency hop.
 	b.arrived = 0
 	waiters := b.waiters
 	b.waiters = nil

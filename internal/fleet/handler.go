@@ -96,8 +96,8 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 
 func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
 	var req serve.Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		h.writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+	if code, err := serve.DecodeBody(w, r, &req); err != nil {
+		h.writeJSON(w, code, map[string]string{"error": "bad request body: " + err.Error()})
 		return
 	}
 	st := h.rt.Submit(req)

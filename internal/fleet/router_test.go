@@ -8,7 +8,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -408,4 +410,44 @@ func TestRouterHonorsRetryAfter(t *testing.T) {
 			http.Error(w, "transient", http.StatusInternalServerError)
 		})
 	})
+}
+
+// TestOversizedSubmitRejected: the router answers a JSON body over
+// serve.MaxBodyBytes with 413 and never forwards it to a shard.
+func TestOversizedSubmitRejected(t *testing.T) {
+	var forwarded atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
+		forwarded.Add(1)
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(serve.JobInfo{ID: 0, Tenant: "ana", Kind: "wo", Status: "queued"})
+	})
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "ok") })
+	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "[]") })
+	mux.HandleFunc("POST /fleet/register", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "{}") })
+	hs := httptest.NewServer(mux)
+	defer hs.Close()
+	rt, err := New(Config{Shards: []Shard{{ID: "s0", URL: hs.URL}}, Logf: quiet})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer rt.Stop()
+	fh := httptest.NewServer(NewHandler(rt, HandlerConfig{Logf: quiet}))
+	defer fh.Close()
+
+	body, err := json.Marshal(serve.Request{Tenant: "ana", Kind: "wo", Tag: strings.Repeat("x", 2<<20)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(fh.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /jobs: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST /jobs with a 2 MiB body: status %d, want 413", resp.StatusCode)
+	}
+	if n := forwarded.Load(); n != 0 {
+		t.Errorf("router forwarded %d oversized submissions, want 0", n)
+	}
 }

@@ -59,8 +59,7 @@ func NewDevice(eng *des.Engine, id int, pr Props, pcieLink *des.Resource, pciePr
 // SetObs attaches a flight recorder; kernel launches become spans on the
 // "gpuN.compute" stream and DMA transfers on "gpuN.copy". Span boundaries
 // are resource-grant and completion times, which the backend-invariance
-// and shard-invariance guarantees make identical under any host
-// configuration — recorded traces diff byte-for-byte across backends.
+// guarantee makes identical under any host configuration — recorded traces diff byte-for-byte across backends.
 func (d *Device) SetObs(r *obs.Recorder) { d.rec = r }
 
 // SetBackend selects the execution backend for this device's kernel

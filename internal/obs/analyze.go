@@ -12,7 +12,7 @@ import (
 // end-to-end latency into an ordered, gap-free phase breakdown with
 // dominant-bottleneck attribution. The input events are a pure function
 // of the simulation (see the package comment), so every number here is
-// byte-identical across shard counts and kernel backends.
+// byte-identical across kernel backends.
 //
 // A job owns up to three kinds of timelines, all derived from its run
 // name (serve names jobs "<tenant>-<kind>-<id>"; bare core runs use the

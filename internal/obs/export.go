@@ -11,8 +11,8 @@ import (
 
 // The exports are hand-serialized with a fixed field order so the output
 // is byte-deterministic: a canonical event set always produces an
-// identical file, which is what the cross-shard/cross-backend trace
-// differential tests diff. String values go through encoding/json so
+// identical file, which is what the cross-backend trace differential
+// tests diff. String values go through encoding/json so
 // arbitrary tenant/job names stay valid JSON.
 
 // jstr renders s as a JSON string literal.

@@ -18,13 +18,11 @@
 //     at emission and exported in that order. A stream is one logical
 //     timeline (a GPU engine, a job's rank, a scheduler decision track)
 //     confined to a single DES engine, so its emission order is the
-//     engine's serialized execution order — which the sharded-engine
-//     invariant (see des.ShardSet) makes independent of the shard count.
-//     The canonical export therefore produces byte-identical files at any
-//     shard count >= 1 and under any kernel-execution backend.
+//     engine's serialized execution order. The canonical export therefore
+//     produces byte-identical files under any kernel-execution backend.
 //
 //  3. Separation of the engine's own bookkeeping. Events in CatEngine
-//     (shard rounds, dispatch counters, backend attribution) legitimately
+//     (dispatch counters, backend attribution) legitimately
 //     vary with the host configuration; they are recorded for inspection
 //     but excluded from the canonical export and the Chrome timeline.
 //
@@ -44,9 +42,9 @@ type Cat uint8
 
 const (
 	// CatSim marks simulation-level events: part of the canonical export
-	// and byte-identical across shard counts and kernel backends.
+	// and byte-identical across kernel backends.
 	CatSim Cat = iota
-	// CatEngine marks engine internals (shard rounds, dispatch stats,
+	// CatEngine marks engine internals (dispatch stats,
 	// backend attribution). Recorded, but excluded from the canonical
 	// export because they legitimately depend on the host configuration.
 	CatEngine
@@ -96,9 +94,10 @@ func (e *Event) Attr(k string) string {
 
 // Recorder collects events from every layer of one simulation. The
 // zero-cost disabled state is a nil *Recorder: all methods are nil-safe
-// no-ops. The mutex serializes emissions from concurrently running engine
-// shards; determinism comes from the per-stream sequence numbers, not
-// from global arrival order (which shard interleaving scrambles).
+// no-ops. The mutex serializes emissions and reads from different
+// goroutines (a live daemon's HTTP handlers snapshot the recording while
+// its engine runs); determinism comes from the per-stream sequence
+// numbers, not from global arrival order.
 type Recorder struct {
 	mu     sync.Mutex
 	prefix string
@@ -171,7 +170,7 @@ func (r *Recorder) Len() int {
 // Events returns a copy of every recorded event in canonical order:
 // sorted by (time, stream, per-stream sequence). The sort key is a pure
 // function of the simulation, so the order — like the events themselves —
-// is independent of shard count and backend.
+// is independent of the kernel backend.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil

@@ -60,7 +60,7 @@ type jobRec struct {
 	admit     des.Time
 	finish    des.Time
 	gang      []int
-	leased    []int // gang plus surplus ranks held idle (sharded whole-node leases)
+	leased    []int // gang plus surplus ranks held idle (node-leased model)
 	trace     *core.Trace
 	waiting   bool // in the queue
 	running   bool
@@ -103,11 +103,11 @@ type Scheduler struct {
 	nRun    int
 	launchE error // first LaunchOn failure, reported after a batch run
 
-	// Sharded dispatch (nil ss = legacy same-engine launches). See
+	// Node-leased model (false = legacy same-engine launches). See
 	// EnableSharding.
-	ss        *des.ShardSet
-	launchLat des.Time // hub -> gang shard: job launch overhead
-	doneLat   des.Time // gang shard -> hub: completion notification
+	nodeLeases bool
+	launchLat  des.Time // scheduler -> gang: job launch overhead
+	doneLat    des.Time // gang -> scheduler: completion notification
 
 	// OnStart, if set, fires when a job is placed on its gang; OnDone
 	// fires after its gang is released — with the job's trace, or with a
@@ -141,47 +141,26 @@ func NewScheduler(eng *des.Engine, cl *cluster.Cluster, pol Policy) (*Scheduler,
 	return s, nil
 }
 
-// hubKey is the stable post-ordering identity of the scheduler hub itself;
+// hubKey is the stable post-ordering identity of the scheduler itself;
 // gangs use their lowest node ID, which is always >= 0.
 const hubKey = -1
 
-// EnableSharding switches the scheduler to sharded dispatch over ss, whose
-// hub engine (shard 0) must be the engine the scheduler was built on. Jobs
-// are then homed on engines 1..N-1 by their gang's lowest node ID (all on
-// the hub when N = 1), launched through a hub->home post carrying `launch`
-// (the job dispatch overhead — MPI wireup plus context creation — which
-// doubles as the outbound lookahead) and completed through a home->hub post
-// carrying `done` (one fabric latency). Sharded placement leases whole
-// nodes, so concurrent gangs never share a NIC, a PCIe link, or a host CPU:
-// surplus ranks on a gang's last node stay idle until the job finishes.
-// Must be called before any submission.
-func (s *Scheduler) EnableSharding(ss *des.ShardSet, launch, done des.Time) {
-	if ss.Engine(0) != s.eng {
-		panic("sched: EnableSharding needs the scheduler on the shard set's hub engine")
-	}
+// EnableSharding switches the scheduler to the node-leased model
+// (cluster.Config.Shards = 1). Jobs are launched through a post carrying
+// `launch` (the job dispatch overhead — MPI wireup plus context creation)
+// and completed through a post carrying `done` (one fabric latency).
+// Placement leases whole nodes, so concurrent gangs never share a NIC, a
+// PCIe link, or a host CPU: surplus ranks on a gang's last node stay idle
+// until the job finishes. Must be called before any submission.
+func (s *Scheduler) EnableSharding(launch, done des.Time) {
 	if len(s.recs) > 0 {
 		panic("sched: EnableSharding after submissions")
 	}
 	if launch <= 0 || done <= 0 {
-		panic("sched: sharded dispatch needs positive launch and done latencies")
+		panic("sched: node-leased dispatch needs positive launch and done latencies")
 	}
-	s.ss = ss
+	s.nodeLeases = true
 	s.launchLat, s.doneLat = launch, done
-	for k := 1; k < ss.Shards(); k++ {
-		ss.DeclareEdge(0, k, launch)
-		ss.DeclareEdge(k, 0, done)
-	}
-}
-
-// homeOf picks the engine a gang runs on: a stable function of the gang's
-// lowest node ID, so the assignment — and with it every post stamp — does
-// not depend on admission interleaving.
-func (s *Scheduler) homeOf(gang []int) int {
-	n := s.ss.Shards()
-	if n == 1 {
-		return 0
-	}
-	return 1 + s.cl.NodeOfRank(gang[0]).ID%(n-1)
 }
 
 // validateSpec checks one submission with named errors.
@@ -398,7 +377,7 @@ func (s *Scheduler) Trace(makespan des.Time) *ClusterTrace {
 // same cluster, policy, and submissions produce a bit-identical trace.
 func Run(cc cluster.Config, pol Policy, specs []JobSpec) (*ClusterTrace, error) {
 	if err := cc.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCluster, err)
+		return nil, fmt.Errorf("%w: %w", ErrBadCluster, err)
 	}
 	if err := pol.Validate(cc.GPUs); err != nil {
 		return nil, err
@@ -407,18 +386,16 @@ func Run(cc cluster.Config, pol Policy, specs []JobSpec) (*ClusterTrace, error) 
 		return nil, err
 	}
 
-	n := cc.ShardCount()
-	ss := des.NewShardSet(max(n, 1))
-	ss.SetRecorder(cc.Obs)
-	eng := ss.Engine(0)
+	eng := des.NewEngine()
+	eng.SetRecorder(cc.Obs)
 	cl := cluster.New(eng, cc)
 	defer cl.Close()
 	s, err := NewScheduler(eng, cl, pol)
 	if err != nil {
 		return nil, err
 	}
-	if n > 0 {
-		s.EnableSharding(ss, cc.Launch(), cc.Fabric.Latency)
+	if cc.Shards == 1 {
+		s.EnableSharding(cc.Launch(), cc.Fabric.Latency)
 	}
 	for _, sp := range specs {
 		s.register(sp)
@@ -436,7 +413,7 @@ func Run(cc cluster.Config, pol Policy, specs []JobSpec) (*ClusterTrace, error) 
 			s.arrive(rec)
 		}
 	})
-	makespan := ss.Run()
+	makespan := eng.Run()
 	if s.launchE != nil {
 		return nil, s.launchE
 	}
@@ -568,7 +545,7 @@ func (s *Scheduler) fairShare(rec *jobRec) int {
 // marks a start from deeper in the queue scan — the policy let this job
 // jump jobs still waiting ahead of it.
 func (s *Scheduler) start(rec *jobRec, size int, backfill bool) {
-	if s.ss != nil {
+	if s.nodeLeases {
 		rec.gang, rec.leased = s.placeNodes(size)
 	} else {
 		rec.gang = s.place(size)
@@ -600,7 +577,7 @@ func (s *Scheduler) start(rec *jobRec, size int, backfill bool) {
 	if s.OnStart != nil {
 		s.OnStart(rec.id, rec.gang)
 	}
-	if s.ss != nil {
+	if s.nodeLeases {
 		s.dispatch(rec)
 		return
 	}
@@ -624,30 +601,24 @@ func (s *Scheduler) start(rec *jobRec, size int, backfill bool) {
 	}
 }
 
-// dispatch launches rec's job on its gang's home shard. The hub->home post
-// carries the launch overhead; the home->hub completion post carries one
-// fabric latency. Both stamps are pure functions of the simulation — hub
-// decision time, gang node IDs, per-key sequence — so the merged event
-// order is identical at every shard count, including 1. All scheduler
-// state stays hub-confined: the home shard only reads the immutable spec
-// and posts results back.
+// dispatch launches rec's job on its gang. The launch post carries the
+// launch overhead; the completion post carries one fabric latency. Both
+// stamps are pure functions of the simulation — decision time, gang node
+// IDs, per-key sequence — so the event order does not depend on the host.
 func (s *Scheduler) dispatch(rec *jobRec) {
 	name := rec.spec.Job.RunName()
-	home := s.homeOf(rec.gang)
 	key := s.cl.NodeOfRank(rec.gang[0]).ID
 	gang := rec.gang
-	s.ss.Post(s.eng, home, hubKey, s.launchLat, name+".launch", func(p *des.Proc) {
-		homeEng := p.Engine()
-		err := rec.spec.Job.LaunchOn(homeEng, s.cl, gang, func(tr *core.Trace) {
-			s.ss.Post(homeEng, 0, key, s.doneLat, name+".done", func(q *des.Proc) {
+	s.eng.Post(hubKey, s.launchLat, name+".launch", func(p *des.Proc) {
+		err := rec.spec.Job.LaunchOn(s.eng, s.cl, gang, func(tr *core.Trace) {
+			s.eng.Post(key, s.doneLat, name+".done", func(q *des.Proc) {
 				s.finish(rec, tr)
 				s.admit()
 			})
 		})
 		if err != nil {
 			err = fmt.Errorf("sched: launching job %q: %w", name, err)
-			s.ss.Post(homeEng, 0, key, s.doneLat, name+".done", func(q *des.Proc) {
-				// Written on the hub, like every other rec mutation.
+			s.eng.Post(key, s.doneLat, name+".done", func(q *des.Proc) {
 				rec.err = err
 				if s.launchE == nil {
 					s.launchE = rec.err
@@ -758,7 +729,7 @@ func (s *Scheduler) place(size int) []int {
 // size ranks; the gang is the first size leased ranks and the remainder
 // stay leased-idle until finish. Whole-node leases keep every shared
 // hardware primitive — NICs, PCIe links, the host CPU resource — owned by
-// exactly one gang (one shard) at a time, and they preserve the invariant
+// exactly one gang at a time, and they preserve the invariant
 // that every node is either fully free or fully leased, so nFree remains an
 // exact feasibility test for gangFor.
 func (s *Scheduler) placeNodes(size int) (gang, leased []int) {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/cluster"
@@ -19,63 +20,82 @@ func shardSpecs() []JobSpec {
 	}
 }
 
-// TestShardedTraceInvariantAcrossShardCounts is the heart of the sharded
-// engine's determinism claim at this layer: the identical submission
-// stream, run at 1, 2, 3, and per-node shards, produces byte-identical
-// cluster traces — same admissions, same gangs, same per-rank timings,
-// same makespan.
+// TestShardedRunIsReproducible reruns the same node-leased configuration
+// under both sharing policies and demands bit-identical traces: host
+// scheduling must not leak into the simulation.
+func TestShardedRunIsReproducible(t *testing.T) {
+	cc := cc16()
+	cc.Shards = 1
+	for _, pol := range []Policy{
+		{Kind: FixedShare, Share: 4},
+		{Kind: WeightedFair},
+	} {
+		var base string
+		for rep := 0; rep < 3; rep++ {
+			ct, err := Run(cc, pol, shardSpecs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ct.String(); rep == 0 {
+				base = got
+			} else if got != base {
+				t.Fatalf("%v rep %d diverged:\n%s\n---\n%s", pol, rep, base, got)
+			}
+		}
+	}
+}
+
+// TestShardedTraceInvariantAcrossShardCounts checks that the node-leased
+// trace does not depend on how the host splits the work: with one engine
+// left, the remaining host-side partition is the kernel backend's worker
+// count, and serial, two- and three-worker runs must agree byte for byte
+// under both sharing policies.
 func TestShardedTraceInvariantAcrossShardCounts(t *testing.T) {
 	for _, pol := range []Policy{
 		{Kind: FixedShare, Share: 4},
 		{Kind: WeightedFair},
 	} {
 		var base string
-		for _, shards := range []int{1, 2, 3, -1} {
+		for _, workers := range []int{0, 2, 3} {
 			cc := cc16()
-			cc.Shards = shards
+			cc.Shards = 1
+			cc.Workers = workers
 			ct, err := Run(cc, pol, shardSpecs())
 			if err != nil {
-				t.Fatalf("%v shards=%d: %v", pol, shards, err)
+				t.Fatalf("%v workers=%d: %v", pol, workers, err)
 			}
 			got := ct.String()
-			if shards == 1 {
+			if workers == 0 {
 				base = got
 				continue
 			}
 			if got != base {
-				t.Errorf("%v: shards=%d trace diverges from shards=1:\n--- shards=1\n%s\n--- shards=%d\n%s",
-					pol, shards, base, shards, got)
+				t.Errorf("%v: workers=%d trace diverges from serial:\n--- serial\n%s\n--- workers=%d\n%s",
+					pol, workers, base, workers, got)
 			}
 		}
 	}
 }
 
-// TestShardedRunIsReproducible reruns the same sharded configuration and
-// demands bit-identical traces: real host parallelism must not leak into
-// the simulation.
-func TestShardedRunIsReproducible(t *testing.T) {
-	cc := cc16()
-	cc.Shards = -1
-	var base string
-	for rep := 0; rep < 3; rep++ {
-		ct, err := Run(cc, Policy{Kind: WeightedFair}, shardSpecs())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := ct.String(); rep == 0 {
-			base = got
-		} else if got != base {
-			t.Fatalf("rep %d diverged:\n%s\n---\n%s", rep, base, got)
+// TestRemovedShardValuesRejected: Shards is the scheduling-model switch,
+// 0 or 1; any other value is a named error, not a silent fallback.
+func TestRemovedShardValuesRejected(t *testing.T) {
+	for _, shards := range []int{2, -1} {
+		cc := cc16()
+		cc.Shards = shards
+		_, err := Run(cc, Policy{Kind: WeightedFair}, shardSpecs())
+		if !errors.Is(err, cluster.ErrBadShards) || !errors.Is(err, ErrBadCluster) {
+			t.Errorf("Shards=%d: err %v, want ErrBadShards wrapped in ErrBadCluster", shards, err)
 		}
 	}
 }
 
-// TestShardedLeasesWholeNodes checks the isolation rule that makes sharded
-// runs race-free: two concurrent gangs never split a node, even when their
-// sizes would pack onto one.
+// TestShardedLeasesWholeNodes checks the node-leased model's isolation
+// rule: two concurrent gangs never split a node, even when their sizes
+// would pack onto one.
 func TestShardedLeasesWholeNodes(t *testing.T) {
 	cc := cluster.DefaultConfig(8) // two nodes of four
-	cc.Shards = 2
+	cc.Shards = 1
 	specs := []JobSpec{
 		{At: 0, Job: makeJob("a", 2, 6, 256)},
 		{At: 0, Job: makeJob("b", 2, 6, 256)},
@@ -92,7 +112,7 @@ func TestShardedLeasesWholeNodes(t *testing.T) {
 	for _, ra := range a.Gang {
 		for _, rb := range b.Gang {
 			if nodeOf(ra) == nodeOf(rb) {
-				t.Fatalf("concurrent sharded gangs share node %d: %v vs %v", nodeOf(ra), a.Gang, b.Gang)
+				t.Fatalf("concurrent node-leased gangs share node %d: %v vs %v", nodeOf(ra), a.Gang, b.Gang)
 			}
 		}
 	}

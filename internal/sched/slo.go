@@ -239,10 +239,9 @@ func (s *Scheduler) growBack() {
 
 // quiesce asks rec's running launch to checkpoint-preempt: stop issuing
 // chunks and drain at the next chunk boundary. The launch then completes
-// with a Preempted trace and finish routes it to requeue. In sharded
-// mode the stop must execute on the gang's home engine — the launch's
-// core scheduler is engine-confined — so it travels the same hub->home
-// post edge as the launch itself.
+// with a Preempted trace and finish routes it to requeue. In the
+// node-leased model the stop travels as a post carrying the launch
+// overhead, like the launch itself.
 func (s *Scheduler) quiesce(rec *jobRec, cancel bool) bool {
 	p, ok := rec.spec.Job.(core.Preemptible)
 	if !ok || !rec.running || rec.quiescing {
@@ -260,9 +259,8 @@ func (s *Scheduler) quiesce(rec *jobRec, cancel bool) bool {
 		}
 		r.Emit(int64(s.eng.Now()), obs.CatSim, "sched/"+rec.spec.Job.RunName(), "preempt", obs.A("why", why))
 	}
-	if s.ss != nil {
-		home := s.homeOf(rec.gang)
-		s.ss.Post(s.eng, home, hubKey, s.launchLat, rec.spec.Job.RunName()+".preempt", func(q *des.Proc) {
+	if s.nodeLeases {
+		s.eng.Post(hubKey, s.launchLat, rec.spec.Job.RunName()+".preempt", func(q *des.Proc) {
 			p.PreemptLaunch()
 		})
 	} else {

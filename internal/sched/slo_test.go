@@ -353,9 +353,10 @@ func TestPreemptCancelRunningJob(t *testing.T) {
 	}
 }
 
-// TestSLOShardInvariance: the SLO machinery must keep the sharded DES
-// backend bit-identical to the single-engine run — preemption and
-// grow-back route through the same hub->home post edges as launches.
+// TestSLOShardInvariance: the SLO machinery on the node-leased model must
+// be bit-identical across kernel backends — preemption and grow-back route
+// through the same posts as launches, whatever the host does with the
+// kernels.
 func TestSLOShardInvariance(t *testing.T) {
 	mk := func() []JobSpec {
 		return []JobSpec{
@@ -364,17 +365,18 @@ func TestSLOShardInvariance(t *testing.T) {
 				Deadline: des.Second},
 		}
 	}
-	runWith := func(shards int) string {
+	runWith := func(workers int) string {
 		cc := cc16()
-		cc.Shards = shards
+		cc.Shards = 1
+		cc.Workers = workers
 		ct, err := Run(cc, Policy{Kind: WeightedFair, Preempt: true, Reserve: true}, mk())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ct.String()
 	}
-	one, four := runWith(1), runWith(4)
-	if one != four {
-		t.Errorf("SLO run not shard-invariant:\n--- 1 shard\n%s--- 4 shards\n%s", one, four)
+	serial, pool := runWith(0), runWith(4)
+	if serial != pool {
+		t.Errorf("node-leased SLO run differs across backends:\n--- serial\n%s--- pool(4)\n%s", serial, pool)
 	}
 }

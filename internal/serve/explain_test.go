@@ -12,8 +12,8 @@ import (
 // explain endpoint: every job's breakdown must (a) partition the job's
 // end-to-end latency exactly — contiguous phases whose durations sum to
 // it — and (b) be byte-identical, in both JSON and text renderings,
-// across engine shard counts {1, 2, per-node} and kernel backends
-// {serial, pool}.
+// across kernel backends {serial, pool(1), pool(4)} on the node-leased
+// scheduling model (Shards = 1).
 func TestExplainAcrossShardsAndBackends(t *testing.T) {
 	tr := metricsTrace()
 	tr.Events[0].Arrive.TraceID = "f7"
@@ -23,8 +23,8 @@ func TestExplainAcrossShardsAndBackends(t *testing.T) {
 		shards, workers int
 	}{
 		{"shard1-serial", 1, 0},
-		{"shard2-pool", 2, 4},
-		{"pernode-pool", -1, 4},
+		{"shard1-pool1", 1, 1},
+		{"shard1-pool4", 1, 4},
 	}
 	var golden string
 	for _, c := range configs {

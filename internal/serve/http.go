@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 )
 
 // HandlerConfig tunes the HTTP surface around a Server.
@@ -122,10 +123,36 @@ func NewHandler(sv *Server, cfg HandlerConfig) http.Handler {
 	return mux
 }
 
+// MaxBodyBytes caps the JSON request bodies the daemons' HTTP APIs
+// decode; a larger body is answered 413.
+const MaxBodyBytes = 1 << 20
+
+// ReadHeaderTimeout bounds how long the daemons' http.Servers wait for a
+// client's request headers, so a slow client cannot hold a connection
+// open without sending a request. There is deliberately no write
+// timeout: POST /drain answers only after every admitted job finishes.
+const ReadHeaderTimeout = 10 * time.Second
+
+// DecodeBody decodes r's JSON body into v, reading at most MaxBodyBytes.
+// On failure it returns the status to answer with: 413 for an oversized
+// body, 400 for any other malformed one.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return http.StatusOK, nil
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge, err
+	default:
+		return http.StatusBadRequest, err
+	}
+}
+
 func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		h.httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if code, err := DecodeBody(w, r, &req); err != nil {
+		h.httpError(w, code, "bad request body: "+err.Error())
 		return
 	}
 	info, err := h.sv.Submit(req)
@@ -294,8 +321,8 @@ func (h *handler) output(w http.ResponseWriter, r *http.Request) {
 
 func (h *handler) register(w http.ResponseWriter, r *http.Request) {
 	var reg FleetRegistration
-	if err := json.NewDecoder(r.Body).Decode(&reg); err != nil {
-		h.httpError(w, http.StatusBadRequest, "bad registration body: "+err.Error())
+	if code, err := DecodeBody(w, r, &reg); err != nil {
+		h.httpError(w, code, "bad registration body: "+err.Error())
 		return
 	}
 	if err := h.sv.SetFleet(reg.Shard, reg.Epoch); err != nil {

@@ -371,3 +371,52 @@ func TestCancelStatusCodes(t *testing.T) {
 	}
 	sv.Drain()
 }
+
+// oversizedJSON is a syntactically valid JSON object of about 2 MiB,
+// twice MaxBodyBytes: only the size cap can refuse it.
+func oversizedJSON() []byte {
+	b, err := json.Marshal(Request{Tenant: "ana", Kind: "wo", Tag: string(bytes.Repeat([]byte("x"), 2<<20))})
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// TestOversizedBodiesRejected: every JSON-decoding handler answers a body
+// over MaxBodyBytes with 413, and nothing reaches admission.
+func TestOversizedBodiesRejected(t *testing.T) {
+	sv := startTestServer(t, Config{})
+	hs := httptest.NewServer(NewHandler(sv, HandlerConfig{Logf: quietLogf}))
+	defer hs.Close()
+	for _, path := range []string{"/jobs", "/fleet/register"} {
+		resp, err := http.Post(hs.URL+path, "application/json", bytes.NewReader(oversizedJSON()))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a 2 MiB body: status %d, want 413", path, resp.StatusCode)
+		}
+	}
+	if n := sv.Stats().Submitted; n != 0 {
+		t.Errorf("%d submissions admitted, want 0", n)
+	}
+	if _, err := sv.Drain(); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+}
+
+// TestRemovedShardValuesRejected: Shards is the scheduling-model switch,
+// 0 or 1; Start and Replay refuse any other value with the named error.
+func TestRemovedShardValuesRejected(t *testing.T) {
+	for _, shards := range []int{2, -1} {
+		cc := cluster.DefaultConfig(8)
+		cc.Shards = shards
+		if _, err := Start(Config{Cluster: cc, Policy: sched.Policy{Kind: sched.WeightedFair}, Catalog: testCatalog()}); !errors.Is(err, cluster.ErrBadShards) {
+			t.Errorf("Start with Shards=%d: err %v, want ErrBadShards", shards, err)
+		}
+		if _, err := Replay(metricsTrace(), ReplayOptions{Shards: shards}); !errors.Is(err, cluster.ErrBadShards) {
+			t.Errorf("Replay with Shards=%d: err %v, want ErrBadShards", shards, err)
+		}
+	}
+}

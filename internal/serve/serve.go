@@ -299,8 +299,7 @@ func (c Config) quotaFor(tenant string) int {
 // publishes job records and stats to foreign reader goroutines (HTTP).
 type session struct {
 	cfg Config
-	eng *des.Engine   // the hub engine, shard 0 of ss
-	ss  *des.ShardSet // one engine unless the cluster is sharded
+	eng *des.Engine
 	cl  *cluster.Cluster
 	sch *sched.Scheduler
 	rec *TraceWriter
@@ -333,23 +332,20 @@ func newSession(cfg Config) (*session, error) {
 	if err := cfg.Cluster.Validate(); err != nil {
 		return nil, err
 	}
-	n := cfg.Cluster.ShardCount()
-	ss := des.NewShardSet(max(n, 1))
-	ss.SetRecorder(cfg.Cluster.Obs)
-	eng := ss.Engine(0)
+	eng := des.NewEngine()
+	eng.SetRecorder(cfg.Cluster.Obs)
 	cl := cluster.New(eng, cfg.Cluster)
 	sch, err := sched.NewScheduler(eng, cl, cfg.Policy)
 	if err != nil {
 		cl.Close()
 		return nil, err
 	}
-	if n > 0 {
-		sch.EnableSharding(ss, cfg.Cluster.Launch(), cfg.Cluster.Fabric.Latency)
+	if cfg.Cluster.Shards == 1 {
+		sch.EnableSharding(cfg.Cluster.Launch(), cfg.Cluster.Fabric.Latency)
 	}
 	ses := &session{
 		cfg:      cfg,
 		eng:      eng,
-		ss:       ss,
 		cl:       cl,
 		sch:      sch,
 		inflight: make(map[string]int),
@@ -834,14 +830,14 @@ func Start(cfg Config) (*Server, error) {
 	}
 	sv := &Server{
 		ses:     ses,
-		inj:     ses.ss.NewInjector(),
+		inj:     ses.eng.NewInjector(),
 		base:    time.Now(),
 		scale:   cfg.TimeScale,
 		runDone: make(chan struct{}),
 	}
 	go func() {
 		defer close(sv.runDone)
-		sv.makespan = ses.ss.Run()
+		sv.makespan = ses.eng.Run()
 		ses.cl.Close()
 	}()
 	return sv, nil
@@ -1025,11 +1021,9 @@ type ReplayOptions struct {
 	Catalog *Catalog
 	// Workers selects the kernel-execution backend (cluster.Config.Workers).
 	Workers int
-	// Shards selects the engine sharding (cluster.Config.Shards): 0 keeps
-	// the legacy scheduling model on one engine, n >= 1 runs n shards,
-	// negative one per node plus the hub. Replays at any shard count >= 1
-	// are mutually byte-identical; a live run and its replay must use the
-	// same setting.
+	// Shards selects the scheduling model (cluster.Config.Shards): 0 is
+	// the legacy model, 1 the node-leased model; other values are
+	// rejected. A live run and its replay must use the same setting.
 	Shards int
 	// Cluster overrides the cluster reconstruction. The trace header only
 	// records the machine's shape (GPUs, GPUs per node) and Replay rebuilds
@@ -1121,6 +1115,6 @@ func replaySession(tr *Trace, opt ReplayOptions) (*session, des.Time, error) {
 			}
 		}
 	})
-	makespan := ses.ss.Run()
+	makespan := ses.eng.Run()
 	return ses, makespan, nil
 }

@@ -48,7 +48,7 @@ func (sv *Server) WriteFlight(w io.Writer) error {
 // sort, reduce, commit) along the critical rank, dominant-bottleneck
 // attribution, and disturbance counters. Deterministic: the recording is
 // a pure function of the arrival stream, so the same jobs explain
-// byte-identically at any shard count and kernel backend.
+// byte-identically on any kernel backend.
 func (sv *Server) Explain(id int) (obs.Explanation, error) {
 	info, ok := sv.Job(id)
 	if !ok {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -83,4 +84,57 @@ func TestHeaderTimes(t *testing.T) {
 	if got := tr.Events[0].Arrive.At; got != at {
 		t.Fatalf("time round-trip: %v != %v", got, at)
 	}
+}
+
+// writeTrace re-records tr through a TraceWriter.
+func writeTrace(t testing.TB, tr *Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewTraceWriter(&buf, tr.Header)
+	for _, ev := range tr.Events {
+		if ev.Arrive != nil {
+			w.Arrive(*ev.Arrive)
+		} else {
+			w.Cancel(*ev.Cancel)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzReadTrace: ReadTrace returns an error, never panics, on any input,
+// and every trace it accepts round-trips through TraceWriter — written
+// out, read back and written again, the bytes do not change. The seed
+// corpus starts from a trace recorded by a live gpmrd, which must
+// round-trip to its own bytes.
+func FuzzReadTrace(f *testing.F) {
+	smoke, err := os.ReadFile("testdata/smoke_trace.jsonl")
+	if err != nil {
+		f.Fatal(err)
+	}
+	tr, err := ReadTrace(bytes.NewReader(smoke))
+	if err != nil {
+		f.Fatalf("recorded trace rejected: %v", err)
+	}
+	if got := writeTrace(f, tr); !bytes.Equal(got, smoke) {
+		f.Fatalf("recorded trace does not round-trip:\n--- recorded\n%s--- rewritten\n%s", smoke, got)
+	}
+	f.Add(smoke)
+	f.Add(append(smoke, `{"cancel":{"seq":2,"at":1710293000}}`+"\n"...))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		tr, err := ReadTrace(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		first := writeTrace(t, tr)
+		again, err := ReadTrace(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("rewritten trace rejected: %v\n%s", err, first)
+		}
+		if second := writeTrace(t, again); !bytes.Equal(first, second) {
+			t.Fatalf("trace does not round-trip:\n--- first\n%s--- second\n%s", first, second)
+		}
+	})
 }

@@ -9,8 +9,8 @@
 #   6. diff the two reports byte for byte.
 #
 # Usage: scripts/gpmrd_smoke.sh [SHARDS]
-# SHARDS is the engine shard count (gpmrd -shards, default 0) given to
-# both the live daemon and the replay.
+# SHARDS is the scheduling model (gpmrd -shards: 0 = legacy, the
+# default, 1 = node-leased) given to both the live daemon and the replay.
 set -euo pipefail
 
 shards="${1:-0}"
